@@ -201,7 +201,7 @@ def cmd_maximize(args: argparse.Namespace) -> int:
     result = maximize_pure(spec, args.d, restarts=args.restarts, seed=args.seed)
     run.write_json("maximization.json", ser.maximization_to_dict(result))
     if args.bound and spec.name.startswith("h") and spec.name[1:].isdigit() and spec.n >= 4:
-        sdp = sdp_upper_bound(spec.n, min(args.d, spec.n - 1), obj_tol=args.tol or 1e-10)
+        sdp = sdp_upper_bound(spec.n, min(args.d, spec.n - 1))
         run.write_json("upper_bound.json", ser.sdp_to_dict(sdp))
         print(f"value={result.value:.9f} upper_bound={sdp.value:.9f}")
     else:

@@ -33,6 +33,10 @@ __all__ = [
     "qubit_h4_gap",
 ]
 
+# relative margin within which a value counts as equal to a dimension
+# threshold: an exact maximizer evaluates a few ulps off its own maximum
+THRESHOLD_ROUNDING = 1e-12
+
 
 def edge_order(n: int) -> list[tuple[int, int]]:
     """Canonical edge ordering: upper-triangular row-major (0,1), (0,2), ..."""
@@ -227,8 +231,12 @@ def classify(
 
     ``thresholds`` is a list of (d, max_value) sorted ascending in d.
     Comparisons are strict with an additive ``slack`` for callers that need
-    to absorb statistical uncertainty. With no thresholds the dimension is
-    reported as 1 with ``min_dimension_known=False``.
+    to absorb statistical uncertainty. A dimension threshold is exceeded
+    only beyond a further rounding margin of ``THRESHOLD_ROUNDING *
+    max(1, |max_value|)``, so an exact maximizer at dimension d is not
+    reported above d; the classical-bound comparison has no such margin.
+    With no thresholds the dimension is reported as 1 with
+    ``min_dimension_known=False``.
     """
     thr = tuple((int(d), float(v)) for d, v in thresholds)
     if any(thr[k][0] >= thr[k + 1][0] for k in range(len(thr) - 1)):
@@ -236,7 +244,8 @@ def classify(
     witnessed = value > spec.classical_bound + slack
     if not thr:
         return WitnessVerdict(value, witnessed, 1, thr, min_dimension_known=False)
-    exceeded = [d for d, vmax in thr if value > vmax + slack]
+    exceeded = [d for d, vmax in thr
+                if value > vmax + slack + THRESHOLD_ROUNDING * max(1.0, abs(vmax))]
     min_dim = 1 + max(exceeded) if exceeded else 1
     return WitnessVerdict(value, witnessed, min_dim, thr)
 

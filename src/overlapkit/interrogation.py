@@ -169,32 +169,26 @@ def eta_nc_bound(theta: float, nu: float) -> float:
     if not 0.0 <= nu <= 1.0:
         raise ValidationError(f"nu must lie in [0, 1], got {nu!r}")
     eps = nu - nu**2 / 2.0
-    r_0_minus = depolarized_overlap(np.cos(theta) ** 2, nu)
-    r_plus_minus = depolarized_overlap(np.cos(2.0 * theta) ** 2, nu)
+    # Tr(rho_0 rho_-theta) equals Tr(rho_0 rho_theta)
     q = depolarized_overlap(np.cos(theta) ** 2, nu)
-    return (1.0 + 3.0 * eps - r_0_minus + r_plus_minus) / (q + 1.0)
+    r_plus_minus = depolarized_overlap(np.cos(2.0 * theta) ** 2, nu)
+    return (1.0 + 3.0 * eps - q + r_plus_minus) / (q + 1.0)
 
 
-def crossover_nu(theta: float, tol: float = 1e-6) -> float:
+def crossover_nu(theta: float) -> float:
     """Noise level where the noncontextual bound meets the quantum curve.
 
-    Bisection on ``eta_quantum_depolarized - eta_nc_bound`` over nu in
-    [0, 1). Raises when there is no contextual gap at nu = 0.
+    With ``a = (1-nu)^2`` every depolarized overlap is ``a q + (1-a)/2``
+    and ``eps = (1-a)/2``, so the gap ``eta_quantum_depolarized -
+    eta_nc_bound`` has the sign of ``a (2cos^2 theta - cos^2 2theta + 1) - 2``.
+    It closes at ``(1-nu)^2 = 2 / (2cos^2 theta - cos^2 2theta + 1)``; the
+    denominator is at most 9/4, so the root lies in (0, 1 - 2 sqrt(2)/3].
+    Raises when there is no contextual gap at nu = 0 (denominator <= 2).
     """
-    gap = lambda nu: eta_quantum_depolarized(theta, nu) - eta_nc_bound(theta, nu)
-    lo, hi = 0.0, 1.0 - 1e-12
-    g_lo = gap(lo)
-    if g_lo <= 0.0:
+    denom = 2.0 * np.cos(theta) ** 2 - np.cos(2.0 * theta) ** 2 + 1.0
+    if denom <= 2.0:
         raise ValidationError("no contextual gap at nu=0 for this theta")
-    if gap(hi) > 0.0:
-        raise ValidationError("gap does not close anywhere in [0, 1)")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    return float(1.0 - np.sqrt(2.0 / denom))
 
 
 def hexagon(theta: float, nu: float = 0.0) -> HexagonFragment:

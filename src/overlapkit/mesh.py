@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import curve_fit, minimize
 
 from .inequalities import InequalitySpec, make_hn
-from .optimize import uniform_pure_ensemble
+from .optimize import _optimal_mean, uniform_pure_ensemble
 from .states import (
     DensityMatrix,
     NumericalError,
@@ -341,13 +341,12 @@ def qutrit_h4_set() -> list[PureState]:
 def _star_ensemble_states(n: int, d: int) -> list[PureState]:
     """Reference state |0> plus n-1 states averaging to the optimal mean.
 
-    The optimal mean operator is diagonal with top entry
-    (n + d - 2) / (d (n - 1)); a uniform Fourier ensemble realizes it with
-    n - 1 pure states, giving the exact h_n maximum at dimension d.
+    The optimal mean operator is diagonal with the spectrum from
+    `optimize._optimal_mean`; a uniform Fourier ensemble realizes it with
+    n - 1 pure states, giving the exact h_n maximum at dimension d
+    (2 <= d <= n-1).
     """
-    x = (n + d - 2) / (d * (n - 1))
-    lam = np.full(d, (1.0 - x) / (d - 1))
-    lam[0] = x
+    lam, _ = _optimal_mean(n, d)
     rho = DensityMatrix(np.diag(lam).astype(np.complex128))
     return [basis_state(d, 0)] + uniform_pure_ensemble(rho, n - 1)
 

@@ -5,12 +5,13 @@ Three routes to the maximum of an inequality functional at fixed dimension:
 * `maximize_pure` - multi-start gradient ascent over tuples of pure states,
   a certified lower bound (every iterate is feasible).
 * `sdp_upper_bound` - the concave quadratic program over density matrices
-  whose optimum upper-bounds every pure-state realization; solved by
-  projected gradient on the spectrahedron, no external solver.
+  whose optimum upper-bounds every pure-state realization; it has a
+  closed-form solution, so no solver runs.
 * `haar_experiment` - uniform sampling, for typicality rather than maxima.
 
 `dimension_thresholds` combines the first two into a per-(n, d) table and
-flags cells where they disagree.
+flags cells where they disagree; `thresholds_for` returns the closed-form
+maxima alone.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -72,8 +72,6 @@ class SdpResult:
 
     value: float
     x_star: DensityMatrix
-    iterations: int
-    gap_estimate: float
 
 
 @dataclass(frozen=True)
@@ -198,57 +196,38 @@ def project_density(h: np.ndarray) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def _sdp_objective(n: int, x: np.ndarray) -> float:
-    a = -((n - 1) ** 2) / 2.0
-    b = float(n - 1)
-    c = (n - 1) / 2.0
-    return a * float(np.vdot(x, x).real) + b * float(x[0, 0].real) + c
+def _optimal_mean(n: int, d: int) -> tuple[np.ndarray, float]:
+    """Spectrum and value of the h_n quadratic optimum at dimension d.
+
+    The objective ``-((n-1)^2/2) Tr(X^2) + (n-1) <0|X|0> + (n-1)/2`` is
+    ``-(L/2)||X - |0><0|/(n-1)||^2 + const`` with L = (n-1)^2, so its
+    maximizer over d x d density matrices is the simplex projection of
+    ``(1/(n-1), 0, ..., 0)``: ``(x, (1-x)/(d-1), ...)`` with
+    ``x = (n+d-2)/(d(n-1))``. Valid for 2 <= d <= n-1.
+    """
+    x = (n + d - 2) / (d * (n - 1))
+    lam = np.full(d, (1.0 - x) / (d - 1))
+    lam[0] = x
+    value = -((n - 1) ** 2) / 2.0 * float(np.sum(lam**2)) + (n - 1) * x + (n - 1) / 2.0
+    return lam, value
 
 
-def sdp_upper_bound(
-    n: int,
-    d: int,
-    obj_tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> SdpResult:
+def sdp_upper_bound(n: int, d: int) -> SdpResult:
     """Maximum of the h_n quadratic over d x d density matrices.
 
-    Objective: ``-((n-1)^2/2) Tr(X^2) + (n-1) <0|X|0> + (n-1)/2``, concave
-    with gradient Lipschitz constant L = (n-1)^2, maximized by projected
-    gradient ascent with fixed step 1/L. Because the Hessian is exactly
-    -L times the identity, a single step lands on the unconstrained
-    maximizer and the projection onto the spectrahedron finishes the job;
-    the loop form is kept for the convergence certificate. The optimum
-    upper-bounds every pure-state realization value of h_n at dimension d.
-
-    Convergence is declared when successive objective values differ by
-    less than ``obj_tol``. ``gap_estimate`` is ``sqrt(2) * L`` times the
-    final projected-gradient displacement norm (sqrt(2) bounds the
-    spectrahedron diameter).
+    Objective: ``-((n-1)^2/2) Tr(X^2) + (n-1) <0|X|0> + (n-1)/2``. Its
+    Hessian is a multiple of the identity, so the maximizer is the
+    Frobenius projection of the unconstrained optimum onto the
+    spectrahedron, in closed form (`_optimal_mean`). The optimum
+    upper-bounds every pure-state realization value of h_n at dimension
+    d, and `mesh._star_ensemble_states` reaches it, so the bound is tight.
     """
     if n < 4:
         raise ValidationError("the quadratic bound is defined for n >= 4")
     if not 2 <= d <= n - 1:
         raise ValidationError(f"dimension must satisfy 2 <= d <= n-1, got d={d} for n={n}")
-    lip = float((n - 1) ** 2)
-    e00 = np.zeros((d, d), dtype=np.complex128)
-    e00[0, 0] = 1.0
-    x = np.eye(d, dtype=np.complex128) / d
-    f_prev = _sdp_objective(n, x)
-    iterations = 0
-    disp = np.inf
-    for iterations in range(1, max_iter + 1):
-        grad = -lip * x + (n - 1) * e00
-        x_next = project_density(x + grad / lip).entries
-        disp = float(np.linalg.norm(x_next - x))
-        f_next = _sdp_objective(n, x_next)
-        x = x_next
-        if abs(f_next - f_prev) < obj_tol:
-            f_prev = f_next
-            break
-        f_prev = f_next
-    gap = float(np.sqrt(2.0) * lip * disp)
-    return SdpResult(value=f_prev, x_star=DensityMatrix(x), iterations=iterations, gap_estimate=gap)
+    lam, value = _optimal_mean(n, d)
+    return SdpResult(value=value, x_star=DensityMatrix(np.diag(lam).astype(np.complex128)))
 
 
 def _haar_chunk(spec_w: np.ndarray, n: int, d: int, count: int, ss: np.random.SeedSequence) -> np.ndarray:
@@ -321,10 +300,11 @@ def dimension_thresholds(
     """Per-(n, d) maxima of h_n, combining ascent and the quadratic bound.
 
     The ascent path runs for n <= 12 (it returns explicit states); the
-    quadratic bound runs wherever defined (n >= 4, d <= n-1). Each cell
-    records which method produced it and whether the two agree within
-    ``agree_tol``. For d >= n the maximum is constant in d, so the d = n-1
-    value is reused.
+    quadratic bound runs wherever defined (n >= 4). Each cell records which
+    method produced it and whether the two agree within ``agree_tol``. For
+    d >= n the maximum is constant in d, so those cells reuse the d = n-1
+    ascent and bound. This is the cross-check table; `thresholds_for`
+    gives the maxima alone without running any ascent.
     """
     if not 3 <= n_max:
         raise ValidationError("n_max must be at least 3")
@@ -333,32 +313,38 @@ def dimension_thresholds(
     for n in range(3, n_max + 1):
         d_top = d_max if d_max is not None else n
         spec = make_hn(n)
+        # cells with d >= n keep lower/upper from the d = n-1 pass
+        lower = upper = None
         for d in range(2, d_top + 1):
-            lower = upper = None
             if n <= 12:
+                # drawn for every cell so each d < n cell keeps its sub-seed
                 sub = int(rng.integers(0, 2**63 - 1))
-                lower = maximize_pure(spec, min(d, n - 1), restarts=restarts, seed=sub).value
-            if n >= 4 and d >= 2:
-                upper = sdp_upper_bound(n, min(d, n - 1)).value
+                if d < n:
+                    lower = maximize_pure(spec, d, restarts=restarts, seed=sub).value
+            if n >= 4 and d < n:
+                upper = sdp_upper_bound(n, d).value
             if lower is not None and upper is not None:
                 agree = bool(abs(lower - upper) <= agree_tol)
                 value, method = upper, "both"
             elif upper is not None:
                 agree, value, method = None, upper, "quadratic-bound"
-            elif lower is not None:
-                agree, value, method = None, lower, "ascent"
             else:
-                continue
+                agree, value, method = None, lower, "ascent"
             cells.append(ThresholdCell(n=n, d=d, max_value=value, method=method,
                                        lower_bound=lower, upper_bound=upper, agree=agree))
     return cells
 
 
-def thresholds_for(n: int, cells: Sequence[ThresholdCell] | None = None) -> list[tuple[int, float]]:
-    """(d, max_value) list for h_n, suitable for `inequalities.classify`."""
-    if cells is None:
-        cells = dimension_thresholds(n)
-    return [(c.d, c.max_value) for c in cells if c.n == n]
+def thresholds_for(n: int) -> list[tuple[int, float]]:
+    """(d, max_value) of h_n for d = 2..n, for `inequalities.classify`.
+
+    Closed-form maxima of the quadratic bound, which is tight at every
+    dimension (see `sdp_upper_bound`); for d >= n-1 the maximum is the
+    d = n-1 value. No ascent runs.
+    """
+    if n < 3:
+        raise ValidationError("h_n is defined for n >= 3")
+    return [(d, _optimal_mean(n, min(d, n - 1))[1]) for d in range(2, n + 1)]
 
 
 def uniform_pure_ensemble(rho: DensityMatrix, m: int) -> list[PureState]:

@@ -156,8 +156,6 @@ def maximization_to_dict(r: MaximizationResult) -> dict:
 def sdp_to_dict(r: SdpResult) -> dict:
     return {
         "value": r.value,
-        "iterations": r.iterations,
-        "gap_estimate": r.gap_estimate,
         "x_star": density_matrix_to_dict(r.x_star),
     }
 

@@ -50,6 +50,48 @@ def quadratic_optimum(n: int, d: int) -> float:
     return -((n - 1) ** 2 / 2.0) * tr2 + (n - 1) * x + (n - 1) / 2.0
 
 
+def _simplex_projection_bisection(v: np.ndarray) -> np.ndarray:
+    """Projection onto the probability simplex: bisect the shift tau with
+    sum(max(v - tau, 0)) = 1 (the library sorts and thresholds instead)."""
+    lo, hi = float(v.min()) - 1.0, float(v.max())
+    for _ in range(200):
+        tau = (lo + hi) / 2.0
+        if np.maximum(v - tau, 0.0).sum() > 1.0:
+            lo = tau
+        else:
+            hi = tau
+    return np.maximum(v - (lo + hi) / 2.0, 0.0)
+
+
+def projected_gradient_optimum(n: int, d: int) -> float:
+    """Maximum of the h_n quadratic over d x d density matrices, iteratively.
+
+    Projected gradient ascent with fixed step 1/L, L = (n-1)^2, from the
+    maximally mixed state; each iterate is projected onto the
+    spectrahedron through an eigendecomposition and a bisection simplex
+    projection. Stops when the objective moves by less than 1e-13 between
+    iterates. Never uses the closed-form spectrum, so it is a second route
+    to `quadratic_optimum`.
+    """
+    lip = float((n - 1) ** 2)
+
+    def objective(x: np.ndarray) -> float:
+        return -(lip / 2.0) * float(np.vdot(x, x).real) + (n - 1) * float(x[0, 0].real) + (n - 1) / 2.0
+
+    e00 = np.zeros((d, d), dtype=np.complex128)
+    e00[0, 0] = 1.0
+    x = np.eye(d, dtype=np.complex128) / d
+    f = objective(x)
+    for _ in range(10_000):
+        vals, vecs = np.linalg.eigh(x + (-lip * x + (n - 1) * e00) / lip)
+        x = (vecs * _simplex_projection_bisection(vals)) @ vecs.conj().T
+        f_next = objective(x)
+        if abs(f_next - f) < 1e-13:
+            break
+        f = f_next
+    return f_next
+
+
 def brute_force_h4_qubit(theta: float, alpha: float, phi: float) -> float:
     """Numeric optimum of h_4 - 1 with three fixed qubit states.
 

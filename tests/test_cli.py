@@ -61,6 +61,21 @@ class TestEvaluate:
         assert rc == EXIT_OK
         assert "value=1.333" in capsys.readouterr().out
 
+    def test_thresholds_do_not_over_report_exact_maximizers(self, tmp_path, capsys):
+        from overlapkit.mesh import _star_ensemble_states, qutrit_h4_set, ququart_h5_set
+        cases = [(f"star{n}_{d}", n, d, _star_ensemble_states(n, d))
+                 for n in range(3, 11) for d in range(2, n)]
+        cases += [("qutrits", 4, 3, qutrit_h4_set()), ("ququarts", 5, 4, ququart_h5_set())]
+        for label, n, d, states in cases:
+            record = {"kind": "pure", "states": [ser.pure_state_to_dict(s) for s in states]}
+            path = write_json(tmp_path / f"{label}.json", record)
+            rc = main(["evaluate", "--input", path, "--inequality", f"h{n}", "--thresholds",
+                       "--out-dir", str(tmp_path / label)])
+            assert rc == EXIT_OK
+            verdict = json.loads((tmp_path / label / "verdict.json").read_text())
+            assert verdict["min_dimension"] == (d if d > 2 else 1), (label, verdict)
+            assert f"min_dimension={verdict['min_dimension']}" in capsys.readouterr().out
+
     def test_malformed_json_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

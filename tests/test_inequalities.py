@@ -19,7 +19,8 @@ from overlapkit.inequalities import (
     make_hn,
     qubit_h4_gap,
 )
-from overlapkit.mesh import pentagon_qubit_set, qutrit_h4_set, ququart_h5_set
+from overlapkit.mesh import _star_ensemble_states, pentagon_qubit_set, qutrit_h4_set, ququart_h5_set
+from overlapkit.optimize import thresholds_for
 from overlapkit.states import basis_state, haar_random_pure, make_rng, qubit_state
 
 from _oracles import brute_force_h4_qubit, pentagon_exact
@@ -244,6 +245,27 @@ class TestClassify:
         thresholds = [(2, 1.0)]
         assert classify(make_hn(4), 1.005, thresholds, slack=0.01).min_dimension == 1
         assert classify(make_hn(4), 1.005, thresholds, slack=0.0).min_dimension == 3
+
+    def test_rounding_margin_only_on_dimension_thresholds(self):
+        spec = make_hn(5)
+        thr = [(2, 0.25), (3, 1.0), (4, 1.375)]
+        assert classify(spec, 1.375 * (1 + 4e-16), thr).min_dimension == 4
+        assert classify(spec, 1.375 + 1e-9, thr).min_dimension == 5
+        # the classical bound stays strict: one ulp above 1 witnesses
+        assert classify(spec, np.nextafter(1.0, 2.0), thr).coherence_witnessed
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_exact_maximizers_not_over_reported(self, n):
+        spec, thr = make_hn(n), thresholds_for(n)
+        for d in range(2, n):
+            verdict = classify(spec, evaluate_states(spec, _star_ensemble_states(n, d)), thr)
+            # the d = 2 maximum exceeds no listed threshold, so it reads as 1
+            assert verdict.min_dimension == (d if d > 2 else 1), (n, d, verdict.value)
+
+    def test_mesh_sets_report_their_dimension(self):
+        for spec, states, d in ((make_hn(4), qutrit_h4_set(), 3), (make_hn(5), ququart_h5_set(), 4)):
+            verdict = classify(spec, evaluate_states(spec, states), thresholds_for(spec.n))
+            assert verdict.min_dimension == d and verdict.coherence_witnessed
 
     def test_unsorted_thresholds_rejected(self):
         with pytest.raises(ValidationError):

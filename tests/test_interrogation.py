@@ -156,7 +156,15 @@ class TestCrossover:
 
     def test_closed_form_value(self):
         # the gap closes where (1-nu)^2 = 8/9 for theta = 5pi/6
-        assert crossover_nu(THETA, tol=1e-9) == pytest.approx(1 - 2 * np.sqrt(2) / 3, abs=1e-8)
+        assert abs(crossover_nu(THETA) - (1 - 2 * np.sqrt(2) / 3)) <= 1e-12
+
+    def test_curves_meet_at_crossover(self):
+        # the root formula against the two efficiency curves it solves
+        for theta in np.linspace(2.40, 3.12, 25):
+            nu = crossover_nu(theta)
+            assert abs(eta_quantum_depolarized(theta, nu) - eta_nc_bound(theta, nu)) <= 1e-12, theta
+            assert eta_quantum_depolarized(theta, nu * 0.99) > eta_nc_bound(theta, nu * 0.99)
+            assert eta_quantum_depolarized(theta, nu * 1.01) < eta_nc_bound(theta, nu * 1.01)
 
     def test_no_gap_raises(self):
         # between ~0.78 and ~2.36 rad the ideal advantage vanishes

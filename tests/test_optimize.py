@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from overlapkit import optimize
 from overlapkit import serialize as ser
 from overlapkit.inequalities import evaluate_states, make_h_mzi, make_hn
+from overlapkit.mesh import _star_ensemble_states
 from overlapkit.optimize import (
     dimension_thresholds,
     haar_experiment,
@@ -14,11 +16,19 @@ from overlapkit.optimize import (
     project_density,
     project_simplex,
     sdp_upper_bound,
+    thresholds_for,
     uniform_pure_ensemble,
 )
 from overlapkit.states import DensityMatrix, ValidationError, make_rng
 
-from _oracles import quadratic_optimum, simplex_projection_grid
+from _oracles import (
+    FLAGGED_CELLS,
+    PUBLISHED_HN_MAXIMA,
+    ROUNDED_CELLS,
+    projected_gradient_optimum,
+    quadratic_optimum,
+    simplex_projection_grid,
+)
 
 SEEDS = [0, 1, 2]
 
@@ -117,6 +127,11 @@ class TestSdpUpperBound:
         res = sdp_upper_bound(n, d)
         assert res.value == pytest.approx(quadratic_optimum(n, d), abs=1e-9)
 
+    @pytest.mark.parametrize("n", [4, 5, 7, 10, 12, 23])
+    def test_matches_projected_gradient(self, n):
+        for d in range(2, n):
+            assert abs(sdp_upper_bound(n, d).value - projected_gradient_optimum(n, d)) <= 1e-12, (n, d)
+
     def test_d_n_minus_2_is_one(self):
         for n in (5, 7, 9, 20):
             assert sdp_upper_bound(n, n - 2).value == pytest.approx(1.0, abs=1e-6)
@@ -148,13 +163,50 @@ class TestSdpUpperBound:
         x = res.x_star.entries
         a, b, c = -(36 / 2), 6.0, 3.0
         obj = a * float(np.vdot(x, x).real) + b * float(x[0, 0].real) + c
-        assert abs(obj - res.value) <= max(res.gap_estimate, 1e-12)
+        assert abs(obj - res.value) <= 1e-12
 
     @pytest.mark.parametrize("n", [5, 8, 12])
     def test_dimension_monotonicity(self, n):
         vals = [sdp_upper_bound(n, d).value for d in range(2, n)]
         for lo, hi in zip(vals, vals[1:]):
             assert lo <= hi + 1e-8
+
+
+class TestThresholdsFor:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_matches_projected_gradient(self, n):
+        thr = thresholds_for(n)
+        assert [d for d, _ in thr] == list(range(2, n + 1))
+        for d, value in thr:
+            assert abs(value - projected_gradient_optimum(n, min(d, n - 1))) <= 1e-12, (n, d)
+
+    def test_published_maxima(self):
+        for (n, d), published in sorted(PUBLISHED_HN_MAXIMA.items()):
+            value = dict(thresholds_for(n))[d]
+            if (n, d) in FLAGGED_CELLS:
+                assert value >= published - 1e-3, (n, d, value)
+            else:
+                assert value == pytest.approx(published, abs=ROUNDED_CELLS.get((n, d), 1e-3)), (n, d)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_star_ensembles_certify_each_maximum(self, n):
+        # explicit d-dimensional states reach every threshold, so the
+        # thresholds are maxima and not only upper bounds
+        for d, value in thresholds_for(n):
+            states = _star_ensemble_states(n, min(d, n - 1))
+            assert abs(evaluate_states(make_hn(n), states) - value) <= 1e-12, (n, d)
+
+    def test_runs_no_ascent(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("thresholds_for must not run an ascent")
+
+        monkeypatch.setattr(optimize, "maximize_pure", forbidden)
+        monkeypatch.setattr(optimize, "dimension_thresholds", forbidden)
+        assert dict(thresholds_for(8))[7] == pytest.approx(quadratic_optimum(8, 7), abs=1e-12)
+
+    def test_rejects_small_n(self):
+        with pytest.raises(ValidationError):
+            thresholds_for(2)
 
 
 class TestSandwich:
@@ -231,6 +283,22 @@ class TestDimensionThresholds:
         for cell in cells:
             if cell.agree is not None:
                 assert cell.agree
+
+    def test_cells_from_d_equal_n_reuse_the_top_ascent(self, monkeypatch):
+        calls = []
+
+        def counting(spec, d, **kwargs):
+            calls.append((spec.n, d))
+            return maximize_pure(spec, d, **kwargs)
+
+        monkeypatch.setattr(optimize, "maximize_pure", counting)
+        cells = dimension_thresholds(5, restarts=4, seed=3)
+        assert calls == [(n, d) for n in range(3, 6) for d in range(2, n)]
+        lookup = {(c.n, c.d): c for c in cells}
+        for n in range(3, 6):
+            top, same = lookup[(n, n - 1)], lookup[(n, n)]
+            assert (same.lower_bound, same.upper_bound, same.max_value) == (
+                top.lower_bound, top.upper_bound, top.max_value)
 
     def test_methods_recorded(self):
         cells = dimension_thresholds(4, restarts=30, seed=1)
