@@ -74,12 +74,18 @@ def load_inequality(ref: str) -> InequalitySpec:
     return named_inequality(ref)
 
 
-def _read_json(path: Path) -> dict:
+def _read_text(path: Path) -> str:
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        return path.read_text()
     except FileNotFoundError as exc:
         raise ValidationError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _read_json(path: Path) -> dict:
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -212,21 +218,25 @@ def cmd_maximize(args: argparse.Namespace) -> int:
 
 def cmd_mesh(args: argparse.Namespace) -> int:
     run = _Run(args, f"mesh-{args.action}")
+
+    def path_of(option: str) -> Path:
+        value = getattr(args, option)
+        if value is None:
+            raise ValidationError(f"mesh {args.action} needs --{option}")
+        return Path(value)
+
     if args.action == "simulate":
-        config = ser.mesh_config_from_dict(_read_json(Path(args.config)))
+        config = ser.mesh_config_from_dict(_read_json(path_of("config")))
         u = compose(config)
-        run.write_json("unitary.json", {"dim": u.shape[0],
-                                        "entries": [[float(z.real), float(z.imag)] for z in u.ravel()]})
+        run.write_json("unitary.json", ser.unitary_to_dict(u))
         print(f"composed {u.shape[0]}x{u.shape[0]} unitary")
     elif args.action == "decompose":
-        payload = _read_json(Path(args.unitary))
-        dim = int(payload["dim"])
-        flat = np.array([complex(p[0], p[1]) for p in payload["entries"]])
-        config = decompose(flat.reshape(dim, dim), atol=args.tol or 1e-10)
+        u = ser.unitary_from_dict(_read_json(path_of("unitary")))
+        config = decompose(u, atol=args.tol or 1e-10)
         run.write_json("mesh_config.json", ser.mesh_config_to_dict(config))
         print(f"decomposed into {len(config.cells)} cells")
     elif args.action == "calibrate":
-        sweeps = ser.sweeps_from_csv(Path(args.sweeps).read_text())
+        sweeps = ser.sweeps_from_csv(_read_text(path_of("sweeps")))
         model, residuals = calibration_fit(sweeps)
         run.write_json("calibration.json", ser.calibration_to_dict(model))
         run.write_json("calibration_residuals.json", [float(r) for r in residuals])
@@ -241,15 +251,14 @@ def cmd_mesh(args: argparse.Namespace) -> int:
                 "samples": [float(s) for s in study.samples]})
             print(f"mean_fidelity={study.mean:.5f} std={study.std:.5f}")
         else:
-            pa, pb = _read_json(Path(args.target)), _read_json(Path(args.experimental))
-            ua = np.array([complex(p[0], p[1]) for p in pa["entries"]]).reshape(pa["dim"], pa["dim"])
-            ub = np.array([complex(p[0], p[1]) for p in pb["entries"]]).reshape(pb["dim"], pb["dim"])
+            ua = ser.unitary_from_dict(_read_json(path_of("target")))
+            ub = ser.unitary_from_dict(_read_json(path_of("experimental")))
             f = fidelity(ua, ub)
             run.write_json("fidelity.json", {"fidelity": f})
             print(f"fidelity={f:.6f}")
     elif args.action == "counts":
         spec = load_inequality(args.inequality)
-        states = ser.state_set_from_dict(_read_json(Path(args.states)))
+        states = ser.state_set_from_dict(_read_json(path_of("states")))
         est = estimate_inequality_via_counts(spec, states, args.trials, args.seed)
         run.write_json("count_estimate.json", {
             "value": est.value, "sigma": est.sigma,
@@ -292,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=".")
         p.add_argument("--format", choices=["json", "csv"], default="json",
                        help="csv additionally emits csv renderings of matrix-like outputs")
-        p.add_argument("--tol", type=float, default=None,
-                       help="numerical tolerance forwarded to the underlying routine")
 
     p = sub.add_parser("evaluate", help="evaluate an inequality on an overlap or state file")
     common(p)
@@ -355,6 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, default=6)
     p.add_argument("--num-unitaries", type=int, default=100)
     p.add_argument("--sigma", type=float, default=0.1)
+    p.add_argument("--tol", type=float, default=None,
+                   help="unitarity tolerance of decompose (default 1e-10)")
     p.set_defaults(func=cmd_mesh)
 
     p = sub.add_parser("replay", help="re-run a previous command from its manifest")

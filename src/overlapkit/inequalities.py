@@ -63,7 +63,7 @@ class OverlapSet:
             raise ValidationError(f"overlap matrix must be {self.n}x{self.n}")
         iu = np.triu_indices(self.n, k=1)
         vals = m[iu]
-        if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
+        if not np.all((vals >= -1e-12) & (vals <= 1.0 + 1e-12)):  # also rejects NaN
             raise ValidationError("overlaps must lie in [0, 1]")
         out = np.eye(self.n)
         out[iu] = np.clip(vals, 0.0, 1.0)

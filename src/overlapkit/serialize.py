@@ -36,6 +36,8 @@ __all__ = [
     "sampling_to_dict",
     "mesh_config_to_dict",
     "mesh_config_from_dict",
+    "unitary_to_dict",
+    "unitary_from_dict",
     "calibration_to_dict",
     "calibration_from_dict",
     "count_record_to_dict",
@@ -193,6 +195,28 @@ def mesh_config_from_dict(d: dict) -> MeshConfig:
                           output_phases=tuple(float(p) for p in phases) if phases is not None else None)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed mesh-config record: {exc}") from exc
+
+
+def unitary_to_dict(u: np.ndarray) -> dict:
+    return {"dim": u.shape[0], "entries": _complex_pairs(u)}
+
+
+def unitary_from_dict(d: dict) -> np.ndarray:
+    """Read a square complex matrix: ``dim`` and ``dim^2`` row-major pairs.
+
+    Unitarity is left to the consumer (`mesh.decompose` checks it; a
+    measured transfer matrix fed to `mesh.fidelity` need not be unitary).
+    """
+    try:
+        dim = int(d["dim"])
+        flat = _from_pairs(d["entries"])
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise ValidationError(f"malformed unitary record: {exc}") from exc
+    if dim < 1 or flat.size != dim * dim:
+        raise ValidationError(f"unitary record has {flat.size} entries, expected dim^2 with dim={dim}")
+    if not np.all(np.isfinite(flat)):
+        raise ValidationError("unitary record has non-finite entries")
+    return flat.reshape(dim, dim)
 
 
 def calibration_to_dict(m: CalibrationModel) -> dict:

@@ -120,7 +120,7 @@ class PureState:
         if amps.ndim != 1 or amps.size < 1:
             raise ValidationError("amplitudes must be a non-empty 1-d complex vector")
         norm_sq = float(np.sum(amps.real**2 + amps.imag**2))
-        if abs(norm_sq - 1.0) > DEFAULT_TOL.unit_norm:
+        if not abs(norm_sq - 1.0) <= DEFAULT_TOL.unit_norm:  # also rejects NaN
             raise ValidationError(f"squared norm is {norm_sq!r}, expected 1 within {DEFAULT_TOL.unit_norm}")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
@@ -163,11 +163,11 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError("entries must be a square complex matrix")
         herm_err = float(np.max(np.abs(m - m.conj().T)))
-        if herm_err > DEFAULT_TOL.hermitian:
+        if not herm_err <= DEFAULT_TOL.hermitian:  # also rejects NaN
             raise ValidationError(f"matrix deviates from Hermiticity by {herm_err:g}")
         m = (m + m.conj().T) / 2.0
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > DEFAULT_TOL.trace:
+        if not abs(tr - 1.0) <= DEFAULT_TOL.trace:
             raise ValidationError(f"trace is {tr!r}, expected 1 within {DEFAULT_TOL.trace}")
         w = np.linalg.eigvalsh(m)
         w_min = float(w[0])

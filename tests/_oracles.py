@@ -125,3 +125,35 @@ def pentagon_exact() -> float:
 def table_s2_cells() -> list[tuple[float, float]]:
     """(nu, worst-case efficiency) pairs of the published robustness table."""
     return [(0.0, 0.285714), (0.057, 0.419385), (0.112, 0.410757), (0.333, 0.379353)]
+
+
+def hn_value_of_amplitudes(amps: np.ndarray) -> float:
+    """h_n of pure states given as rows, by an explicit pairwise sum:
+    +|<psi_0|psi_k>|^2 for every k >= 1, -|<psi_i|psi_j>|^2 for 1 <= i < j."""
+    n = len(amps)
+    value = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = abs(np.vdot(amps[i], amps[j])) ** 2
+            value += r if i == 0 else -r
+    return value
+
+
+def hn_family_gradient(amplitudes_of, params: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of h_n over a family's stacked angles.
+
+    ``params`` holds one row of angles per state and ``amplitudes_of`` maps
+    a row to that state's amplitude vector. Each angle is moved by
+    ``+-step`` and every state rebuilt; the value is the explicit pairwise
+    sum above, never a Gram-matrix product.
+    """
+    params = np.asarray(params, dtype=float)
+    grad = np.zeros_like(params)
+    for idx in np.ndindex(params.shape):
+        values = []
+        for sign in (1.0, -1.0):
+            moved = params.copy()
+            moved[idx] += sign * step
+            values.append(hn_value_of_amplitudes(np.array([amplitudes_of(row) for row in moved])))
+        grad[idx] = (values[0] - values[1]) / (2.0 * step)
+    return grad

@@ -7,7 +7,7 @@ from overlapkit import serialize as ser
 from overlapkit.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_angle
 from overlapkit.inequalities import OverlapSet, make_h_mzi, make_hn
 from overlapkit.mesh import clements_layout, MeshCell, MeshConfig, decompose, haar_random_unitary, pentagon_qubit_set
-from overlapkit.states import basis_state, qubit_state
+from overlapkit.states import ValidationError, basis_state, qubit_state
 
 
 def write_json(path, obj):
@@ -82,6 +82,17 @@ class TestEvaluate:
         rc = main(["evaluate", "--input", str(bad), "--inequality", "h3", "--out-dir", str(tmp_path)])
         assert rc == EXIT_VALIDATION
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_nan_overlap_exit_code(self, tmp_path, capsys):
+        path = write_json(tmp_path / "nan.json", {"n": 3, "upper": [float("nan"), 0.5, 0.2]})
+        rc = main(["evaluate", "--input", path, "--inequality", "h3", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_VALIDATION
+
+    def test_tol_option_belongs_to_mesh_only(self, pentagon_overlaps, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--input", pentagon_overlaps, "--inequality", "hmzi", "--tol", "1e-3",
+                  "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_wrong_schema_exit_code(self, tmp_path, capsys):
         path = write_json(tmp_path / "odd.json", {"foo": 1})
@@ -176,6 +187,34 @@ class TestMeshCommands:
         assert rc == EXIT_OK
         assert json.loads((tmp_path / "fidelity.json").read_text())["fidelity"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_decompose_reads_tol(self, tmp_path, capsys):
+        u = haar_random_unitary(3, 2)
+        upath = write_json(tmp_path / "u.json", ser.unitary_to_dict(u))
+        rc = main(["mesh", "decompose", "--unitary", upath, "--tol", "1e-9", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert json.loads((tmp_path / "manifest-mesh-decompose.json").read_text())["parameters"]["tol"] == 1e-9
+
+    def test_simulate_without_config_exit_code(self, tmp_path, capsys):
+        rc = main(["mesh", "simulate", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_VALIDATION
+        assert "--config" in capsys.readouterr().err
+
+    def test_decompose_short_entries_exit_code(self, tmp_path, capsys):
+        upath = write_json(tmp_path / "u.json", {"dim": 2, "entries": [[1, 0]]})
+        rc = main(["mesh", "decompose", "--unitary", upath, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."])
+    def test_calibrate_unreadable_sweeps_exit_code(self, tmp_path, capsys, name):
+        rc = main(["mesh", "calibrate", "--sweeps", str(tmp_path / name), "--out-dir", str(tmp_path)])
+        assert rc == EXIT_VALIDATION
+
+    def test_fidelity_malformed_record_exit_code(self, tmp_path, capsys):
+        good = write_json(tmp_path / "a.json", ser.unitary_to_dict(np.eye(2, dtype=complex)))
+        bad = write_json(tmp_path / "b.json", {"entries": [[1, 0]]})
+        rc = main(["mesh", "fidelity", "--target", good, "--experimental", bad, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_VALIDATION
+
     def test_fidelity_study(self, tmp_path, capsys):
         rc = main(["mesh", "fidelity", "--study", "--num-unitaries", "20", "--seed", "2",
                    "--out-dir", str(tmp_path)])
@@ -238,6 +277,20 @@ class TestManifest:
         assert rc == EXIT_OK
         assert (tmp_path / "sampling.json").read_bytes() == first
 
+    def test_manifest_with_tol_replays(self, tmp_path):
+        # manifests written while every subcommand took --tol carry "tol": null
+        rc = main(["sample", "--inequality", "h4", "--d", "2", "--num-sets", "500",
+                   "--seed", "3", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        manifest_path = tmp_path / "manifest-sample.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "tol" not in manifest["parameters"]
+        manifest["parameters"]["tol"] = None
+        manifest_path.write_text(json.dumps(manifest))
+        first = {name: (tmp_path / name).read_bytes() for name in ("sampling.json", "histogram.csv")}
+        assert main(["replay", str(manifest_path)]) == EXIT_OK
+        assert {name: (tmp_path / name).read_bytes() for name in first} == first
+
 
 class TestSerializationRoundtrips:
     def test_pure_state(self):
@@ -265,6 +318,23 @@ class TestSerializationRoundtrips:
         cfg = MeshConfig(modes=4, cells=cells, output_phases=(0.1, 0.2, 0.3, 0.4))
         back = ser.mesh_config_from_dict(ser.mesh_config_to_dict(cfg))
         assert back == cfg
+
+    def test_unitary(self):
+        u = haar_random_unitary(3, 4)
+        assert np.array_equal(ser.unitary_from_dict(ser.unitary_to_dict(u)), u)
+
+    @pytest.mark.parametrize("record", [
+        {"entries": [[1, 0]]},
+        {"dim": "two", "entries": [[1, 0]]},
+        {"dim": 0, "entries": []},
+        {"dim": 2, "entries": [[1, 0]]},
+        {"dim": 1, "entries": [[1]]},
+        {"dim": 1, "entries": None},
+        {"dim": 1, "entries": [[float("nan"), 0]]},
+    ])
+    def test_malformed_unitary_rejected(self, record):
+        with pytest.raises(ValidationError):
+            ser.unitary_from_dict(record)
 
     def test_overlap_matrix_csv_shape(self):
         o = OverlapSet.from_states([basis_state(2, 0), basis_state(2, 1)])

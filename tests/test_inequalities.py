@@ -37,6 +37,10 @@ class TestOverlapSet:
         with pytest.raises(ValidationError):
             OverlapSet.from_upper(3, [0.2, 1.4, 0.6])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            OverlapSet.from_upper(3, [np.nan, 0.5, 0.2])
+
     def test_diagonal_fixed_to_one(self):
         o = OverlapSet.from_states([basis_state(2, 0), basis_state(2, 1)])
         assert o.r[0, 0] == 1.0 and o.r[1, 1] == 1.0

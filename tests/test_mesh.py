@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overlapkit.inequalities import evaluate_states, make_h_mzi, make_hn
+from overlapkit import mesh
 from overlapkit.mesh import (
     AngleNoise,
     CalibrationCoverageError,
@@ -34,6 +35,8 @@ from overlapkit.mesh import (
     state_from_hyperspherical,
 )
 from overlapkit.states import ValidationError, basis_state, make_rng, overlap
+
+from _oracles import hn_family_gradient, hn_value_of_amplitudes
 
 SEEDS = [0, 1, 2]
 
@@ -128,6 +131,10 @@ class TestDecompose:
         with pytest.raises(ValidationError):
             decompose(np.ones((3, 3)))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            decompose(np.full((2, 2), np.nan, dtype=complex))
+
     def test_roundtrip_on_composed_config(self):
         rng = make_rng(7)
         cells = tuple(MeshCell(r, c, rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
@@ -190,6 +197,33 @@ class TestPreparationCircuits:
             a0, a1 = s.amplitudes[0], s.amplitudes[1]
             if abs(a1) > 1e-12:
                 assert abs(np.imag(a0 / a1)) < 1e-12
+
+
+class TestFamilyFit:
+    FAMILIES = [(4, prepare_qutrit, 4), (5, prepare_ququart, 6), (6, prepare_5mode, 7)]
+
+    @pytest.mark.parametrize("n,family,p", FAMILIES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_gradient_matches_central_difference_oracle(self, n, family, p, seed):
+        params = make_rng(seed).uniform(0.0, 2.0 * np.pi, (n, p))
+        value_and_grad = mesh._family_value_and_grad(make_hn(n), lambda q: family(*q), p)
+        value, grad = value_and_grad(params.ravel())
+        want = hn_family_gradient(lambda q: family(*q).amplitudes, params)
+        assert value == pytest.approx(hn_value_of_amplitudes(np.array([family(*q).amplitudes for q in params])), abs=1e-12)
+        assert np.max(np.abs(grad.reshape(n, p) - want)) < 1e-6
+
+    def test_five_mode_fit_family_calls(self):
+        # one restart from seed 7 took 19 866 calls on finite-difference gradients
+        calls = []
+
+        def family(q):
+            calls.append(1)
+            return prepare_5mode(*q)
+
+        params, value = mesh.maximize_pure_family(make_hn(6), family, 7, restarts=1, seed=7)
+        assert len(calls) <= 5000
+        assert value == pytest.approx(1.4, abs=1e-6)
+        assert evaluate_states(make_hn(6), [prepare_5mode(*q) for q in params]) == pytest.approx(value, abs=1e-12)
 
 
 class TestHypersphericalMap:

@@ -1,0 +1,28 @@
+"""Written JSON matches the schemas in ``schemas/``."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from overlapkit import serialize as ser
+from overlapkit.cli import EXIT_OK, main
+from overlapkit.mesh import haar_random_unitary
+
+jsonschema = pytest.importorskip("jsonschema")
+
+SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+
+
+def assert_matches(obj, schema_name):
+    schema = json.loads((SCHEMAS / f"{schema_name}.json").read_text())
+    errors = list(jsonschema.Draft7Validator(schema).iter_errors(obj))
+    assert not errors, errors[:1]
+
+
+def test_mesh_decompose_outputs_match_schemas(tmp_path):
+    upath = tmp_path / "u.json"
+    upath.write_text(ser.dumps(ser.unitary_to_dict(haar_random_unitary(4, 3))))
+    assert main(["mesh", "decompose", "--unitary", str(upath), "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert_matches(json.loads((tmp_path / "mesh_config.json").read_text()), "mesh_config")
+    assert_matches(json.loads((tmp_path / "manifest-mesh-decompose.json").read_text()), "run_manifest")

@@ -33,6 +33,10 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             PureState(np.array([1.0, 1.0]))
 
+    def test_pure_state_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            PureState(np.array([np.nan, 0.0]))
+
     def test_pure_state_normalized_factory(self):
         s = PureState.normalized([3.0, 4.0])
         assert s.amplitudes[0] == pytest.approx(0.6)
@@ -46,6 +50,10 @@ class TestConstruction:
         rho = DensityMatrix(m)
         assert np.linalg.eigvalsh(rho.entries)[0] >= 0.0
         assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-14)
+
+    def test_density_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            DensityMatrix(np.array([[np.nan, 0.0], [0.0, 0.5]], dtype=complex))
 
     def test_density_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
