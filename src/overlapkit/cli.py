@@ -12,6 +12,7 @@ or schema error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -67,7 +68,14 @@ def named_inequality(name: str) -> InequalitySpec:
 
 
 def load_inequality(ref: str) -> InequalitySpec:
-    """Resolve an inequality by name or from a JSON spec file."""
+    """Resolve an inequality by name or from a JSON spec file.
+
+    The built-in names (``hmzi``, ``h3robust``, ``h<digits>``) always win, so
+    a stray file called ``h4`` in the working directory is never read.
+    """
+    key = ref.strip().lower()
+    if key in ("hmzi", "h3robust") or (key[:1] == "h" and key[1:].isdigit()):
+        return named_inequality(ref)
     path = Path(ref)
     if path.suffix == ".json" or path.exists():
         return ser.inequality_from_dict(_read_json(path))
@@ -84,10 +92,14 @@ def _read_text(path: Path) -> str:
 
 
 def _read_json(path: Path) -> dict:
+    """Read a JSON record; every input file holds one object."""
     try:
-        return json.loads(_read_text(path))
+        record = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(record, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(record).__name__}")
+    return record
 
 
 class _Run:
@@ -97,7 +109,7 @@ class _Run:
         self.out_dir = Path(getattr(args, "out_dir", ".") or ".")
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.subcommand = subcommand
-        self.params = {k: v for k, v in vars(args).items() if k != "func"}
+        self.params = dict(vars(args))
         self.outputs: list[str] = []
         self.started = time.monotonic()
 
@@ -270,6 +282,16 @@ def cmd_mesh(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _ManifestParameters(argparse.Namespace):
+    """A manifest's parameters; reading one it lacks is a validation error."""
+
+    def __getattr__(self, name: str):
+        raise ValidationError(f"manifest parameters lack {name!r}")
+
+
+_REPLAYABLE = ("evaluate", "table", "interrogation", "sample", "maximize", "mesh")
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     manifest = _read_json(Path(args.manifest))
     try:
@@ -277,15 +299,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
         params = manifest["parameters"]
     except KeyError as exc:
         raise ValidationError(f"manifest missing field {exc}") from exc
-    argv = [sub.split("-")[0]] if not sub.startswith("mesh") else ["mesh"]
-    ns = argparse.Namespace(**params)
-    handler = {
-        "evaluate": cmd_evaluate, "table": cmd_table, "interrogation": cmd_interrogation,
-        "sample": cmd_sample, "maximize": cmd_maximize, "replay": None,
-    }.get(argv[0], cmd_mesh)
-    if handler is None:
+    if not isinstance(sub, str) or not isinstance(params, dict):
+        raise ValidationError("manifest needs a 'subcommand' string and a 'parameters' object")
+    command = sub.split("-")[0]
+    if command == "replay":
         raise ValidationError("cannot replay a replay manifest")
-    return handler(ns)
+    if command not in _REPLAYABLE:
+        raise ValidationError(f"unknown subcommand {sub!r} in manifest")
+    return _handler(command)(_ManifestParameters(**params))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,14 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", action="store_true",
                    help="classify the minimal dimension against computed maxima")
     p.add_argument("--slack", type=float, default=0.0)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("table", help="maxima per (n, d): ascent and quadratic bound")
     common(p)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--d-max", type=int, default=None)
     p.add_argument("--restarts", type=int, default=200)
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("interrogation", help="efficiency curves and noise crossover")
     common(p)
@@ -329,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=float, default=0.99)
     p.add_argument("--band", type=float, default=0.005,
                    help="mismatch/dark-count envelope for the reflectivity band")
-    p.set_defaults(func=cmd_interrogation)
 
     p = sub.add_parser("sample", help="functional distribution over Haar-random tuples")
     common(p)
@@ -337,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--num-sets", type=int, default=10000)
     p.add_argument("--bins", type=int, default=50)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("maximize", help="maximize an inequality over pure states")
     common(p)
@@ -345,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--bound", action="store_true", help="also compute the quadratic upper bound")
-    p.set_defaults(func=cmd_maximize)
 
     p = sub.add_parser("mesh", help="mesh simulation, decomposition, calibration, fidelity")
     common(p)
@@ -364,19 +380,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.1)
     p.add_argument("--tol", type=float, default=None,
                    help="unitarity tolerance of decompose (default 1e-10)")
-    p.set_defaults(func=cmd_mesh)
 
     p = sub.add_parser("replay", help="re-run a previous command from its manifest")
     p.add_argument("manifest")
-    p.set_defaults(func=cmd_replay)
     return parser
 
 
+def _handler(command: str):
+    """The ``cmd_<command>`` function, looked up when called, so a handler
+    replaced on the module after the parser was built is the one that runs."""
+    return globals()["cmd_" + command]
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use; parsing never changes it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        return _handler(args.command)(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit, minimize
 
 from .inequalities import InequalitySpec, make_hn
 from .optimize import _optimal_mean, uniform_pure_ensemble
@@ -435,6 +434,8 @@ def maximize_pure_family(
     family calls (48 for six five-mode states). Returns the best parameter
     matrix and its functional value; deterministic for a fixed seed.
     """
+    from scipy.optimize import minimize  # loaded on first use, off the import path
+
     rng = make_rng(seed)
     n = spec.n
     value_and_grad = _family_value_and_grad(spec, family, params_per_state)
@@ -787,6 +788,8 @@ def _fit_single_heater(currents: np.ndarray, powers: np.ndarray) -> tuple[float,
     beta = 0; a least-squares pass on the power curve then refines all
     three. Coverage is judged from the fitted model, not the raw sweep.
     """
+    from scipy.optimize import curve_fit  # loaded on first use, off the import path
+
     if currents.size < 8:
         raise CalibrationCoverageError(
             f"need at least 8 sweep points per heater, got {currents.size}")

@@ -162,8 +162,10 @@ class DensityMatrix:
         m = np.array(self.entries, dtype=np.complex128, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError("entries must be a square complex matrix")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("matrix has non-finite entries")
         herm_err = float(np.max(np.abs(m - m.conj().T)))
-        if not herm_err <= DEFAULT_TOL.hermitian:  # also rejects NaN
+        if not herm_err <= DEFAULT_TOL.hermitian:
             raise ValidationError(f"matrix deviates from Hermiticity by {herm_err:g}")
         m = (m + m.conj().T) / 2.0
         tr = float(np.trace(m).real)

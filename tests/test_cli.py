@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from overlapkit import cli
 from overlapkit import serialize as ser
 from overlapkit.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_angle
 from overlapkit.inequalities import OverlapSet, make_h_mzi, make_hn
@@ -110,6 +115,93 @@ class TestEvaluate:
                    "--out-dir", str(tmp_path)])
         assert rc == EXIT_OK
         assert "2.795" in capsys.readouterr().out
+
+    def test_builtin_name_beats_stray_file(self, tmp_path, monkeypatch, capsys):
+        from overlapkit.mesh import qutrit_h4_set
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "h4").write_text("")
+        states = {"kind": "pure",
+                  "states": [ser.pure_state_to_dict(s) for s in qutrit_h4_set()]}
+        path = write_json(tmp_path / "qutrits.json", states)
+        rc = main(["evaluate", "--input", path, "--inequality", "h4", "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_OK
+        assert "value=1.333" in capsys.readouterr().out
+
+    def test_inequality_from_file_without_suffix(self, tmp_path, pentagon_overlaps, capsys):
+        spec_path = write_json(tmp_path / "pentagon-spec", ser.inequality_to_dict(make_h_mzi()))
+        rc = main(["evaluate", "--input", pentagon_overlaps, "--inequality", spec_path,
+                   "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert "2.795" in capsys.readouterr().out
+
+
+# (files written into the working directory, argv); every record is malformed
+MALFORMED_RECORDS = [
+    pytest.param({"n.json": 5}, ["evaluate", "--input", "n.json", "--inequality", "h3"],
+                 id="evaluate-number"),
+    pytest.param({"n.json": [0.5, 0.2, 0.1]}, ["evaluate", "--input", "n.json", "--inequality", "h3"],
+                 id="evaluate-list"),
+    pytest.param({"m.json": {"subcommand": "evaluate", "parameters": {"input": "ok.json"}}},
+                 ["replay", "m.json"], id="replay-missing-out-dir"),
+    pytest.param({"m.json": {"subcommand": "evaluate", "parameters": {"input": "ok.json", "out_dir": "out"}}},
+                 ["replay", "m.json"], id="replay-missing-inequality"),
+    pytest.param({"m.json": ["sample"]}, ["replay", "m.json"], id="replay-list"),
+    pytest.param({"m.json": {"subcommand": "sample", "parameters": 3}}, ["replay", "m.json"],
+                 id="replay-parameters-number"),
+    pytest.param({"m.json": {"subcommand": "bogus", "parameters": {}}}, ["replay", "m.json"],
+                 id="replay-unknown-subcommand"),
+    pytest.param({"c.json": []}, ["mesh", "simulate", "--config", "c.json"], id="mesh-config-list"),
+]
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("files, argv", MALFORMED_RECORDS)
+    def test_exit_code(self, tmp_path, monkeypatch, capsys, files, argv):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "ok.json", ser.overlap_set_to_dict(OverlapSet.from_states(pentagon_qubit_set())))
+        for name, obj in files.items():
+            write_json(tmp_path / name, obj)
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestColdStart:
+    def test_import_leaves_scipy_unloaded(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import overlapkit.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_patched_handler_runs_after_parser_is_built(self, tmp_path, monkeypatch, pentagon_overlaps, capsys):
+        assert main(["interrogation", "--nu-steps", "3", "--out-dir", str(tmp_path / "a")]) == EXIT_OK
+        assert main(["evaluate", "--input", pentagon_overlaps, "--inequality", "hmzi",
+                     "--out-dir", str(tmp_path / "b")]) == EXIT_OK
+        seen = []
+        monkeypatch.setattr(cli, "cmd_interrogation", lambda args: seen.append(args.command) or EXIT_OK)
+        assert main(["interrogation", "--out-dir", str(tmp_path / "c")]) == EXIT_OK
+        assert seen == ["interrogation"]
+
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch, capsys):
+        argv = ["interrogation", "--nu-steps", "3", "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+
+        def rebuilt():
+            raise AssertionError("main rebuilt its parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert main(argv) == EXIT_OK
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        a, b = cli.build_parser(), cli.build_parser()
+        assert a is not b
+        assert vars(a.parse_args(["interrogation"])) == vars(b.parse_args(["interrogation"]))
+
+    def test_manifest_parameters_name_the_command_only(self, tmp_path, capsys):
+        assert main(["interrogation", "--nu-steps", "3", "--out-dir", str(tmp_path)]) == EXIT_OK
+        params = json.loads((tmp_path / "manifest-interrogation.json").read_text())["parameters"]
+        assert params["command"] == "interrogation"
+        assert "func" not in params
 
 
 class TestTable:

@@ -7,7 +7,7 @@ import pytest
 
 from overlapkit import serialize as ser
 from overlapkit.cli import EXIT_OK, main
-from overlapkit.mesh import haar_random_unitary
+from overlapkit.mesh import decompose, haar_random_unitary
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -26,3 +26,12 @@ def test_mesh_decompose_outputs_match_schemas(tmp_path):
     assert main(["mesh", "decompose", "--unitary", str(upath), "--out-dir", str(tmp_path)]) == EXIT_OK
     assert_matches(json.loads((tmp_path / "mesh_config.json").read_text()), "mesh_config")
     assert_matches(json.loads((tmp_path / "manifest-mesh-decompose.json").read_text()), "run_manifest")
+
+
+def test_mesh_simulate_unitary_matches_schema(tmp_path):
+    cpath = tmp_path / "config.json"
+    cpath.write_text(ser.dumps(ser.mesh_config_to_dict(decompose(haar_random_unitary(4, 8)))))
+    assert main(["mesh", "simulate", "--config", str(cpath), "--out-dir", str(tmp_path)]) == EXIT_OK
+    record = json.loads((tmp_path / "unitary.json").read_text())
+    assert_matches(record, "unitary")
+    assert len(record["entries"]) == record["dim"] ** 2 == 16

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,12 @@ class TestConstruction:
     def test_density_rejects_nan(self):
         with pytest.raises(ValidationError):
             DensityMatrix(np.array([[np.nan, 0.0], [0.0, 0.5]], dtype=complex))
+
+    def test_density_rejects_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite"):
+                DensityMatrix(np.array([[0.5, np.inf], [np.inf, 0.5]]))
 
     def test_density_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
