@@ -53,6 +53,17 @@ def parse_angle(text: str) -> float:
         raise ValidationError(f"cannot parse angle {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def named_inequality(name: str) -> InequalitySpec:
     key = name.strip().lower()
     if key == "hmzi":
@@ -292,6 +303,39 @@ class _ManifestParameters(argparse.Namespace):
 _REPLAYABLE = ("evaluate", "table", "interrogation", "sample", "maximize", "mesh")
 
 
+def _manifest_parameters(command: str, params: dict) -> _ManifestParameters:
+    """A manifest's parameters, each checked as the subcommand's parser checks it.
+
+    A value is converted from its text by the option's ``type`` and must be
+    one of its ``choices``; flags must be booleans and untyped options
+    strings. An optional value left at a ``None`` default stays ``None``.
+    """
+    subparsers = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    values = dict(params)
+    for action in subparsers.choices[command]._actions:
+        if action.dest not in values:
+            continue
+        value = values[action.dest]
+        if value is None and action.default is None and not action.required:
+            continue
+        bad = ValidationError(f"manifest parameter {action.dest!r} has an invalid value {value!r}")
+        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+            if not isinstance(value, bool):
+                raise bad
+            continue
+        if action.type is not None:
+            try:
+                value = action.type(str(value))
+            except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+                raise bad from exc
+        elif not isinstance(value, str):
+            raise bad
+        if action.choices is not None and value not in action.choices:
+            raise bad
+        values[action.dest] = value
+    return _ManifestParameters(**values)
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     manifest = _read_json(Path(args.manifest))
     try:
@@ -306,7 +350,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise ValidationError("cannot replay a replay manifest")
     if command not in _REPLAYABLE:
         raise ValidationError(f"unknown subcommand {sub!r} in manifest")
-    return _handler(command)(_ManifestParameters(**params))
+    return _handler(command)(_manifest_parameters(command, params))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inequality", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--num-sets", type=int, default=10000)
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--bins", type=_positive_int, default=50)
 
     p = sub.add_parser("maximize", help="maximize an inequality over pure states")
     common(p)

@@ -148,20 +148,76 @@ def mzi_transfer(theta: float, phi: float) -> np.ndarray:
     return pre * np.array([[ephi * s, c], [ephi * c, -s]], dtype=np.complex128)
 
 
+def _transfers(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """`mzi_transfer` of every (theta, phi) pair, shape ``theta.shape + (2, 2)``.
+
+    Bit for bit the same matrices: the prefactor multiplies out of place,
+    as the scalar form does (numpy's in-place complex product rounds
+    differently). `decompose` keeps calling the scalar form, which is
+    faster for one cell.
+    """
+    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
+    pre = 1j * np.exp(1j * theta / 2.0)
+    ephi = np.exp(1j * phi)
+    t = np.empty(np.shape(theta) + (2, 2), dtype=np.complex128)
+    t[..., 0, 0] = ephi * s
+    t[..., 0, 1] = c
+    t[..., 1, 0] = ephi * c
+    t[..., 1, 1] = -s
+    return pre[..., None, None] * t
+
+
+def _compose_stack(
+    m: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    theta: np.ndarray,
+    phi: np.ndarray,
+    out_phases: np.ndarray | None,
+) -> np.ndarray:
+    """`compose` of a stack of meshes sharing one rectangular layout.
+
+    ``rows``/``cols`` place the cells (any order); ``theta``/``phi`` hold one
+    row of cell angles per mesh and ``out_phases`` one row of output phases
+    (or None). Each column's cells address the disjoint pairs (r0, r0+1),
+    (r0+2, r0+3), ..., so a column is one batched 2 x 2 product on
+    ``u[:, r0:r0+2k]`` viewed as (B, k, 2, m); per cell that is the same
+    product as cell-by-cell composition, so the result is bitwise the same.
+    """
+    b = theta.shape[0]
+    t = _transfers(theta, phi)
+    u = np.zeros((b, m, m), dtype=np.complex128)
+    u[:, np.arange(m), np.arange(m)] = 1.0
+    order = np.lexsort((rows, cols))
+    starts = np.searchsorted(cols[order], np.arange(m + 1))
+    for col in range(m):
+        idx = order[starts[col]:starts[col + 1]]
+        if idx.size == 0:
+            continue
+        r0, k = int(rows[idx[0]]), idx.size
+        block = u[:, r0:r0 + 2 * k].reshape(b, k, 2, m)
+        u[:, r0:r0 + 2 * k] = (t[:, idx] @ block).reshape(b, 2 * k, m)
+    if out_phases is not None:
+        u = np.exp(1j * out_phases)[:, :, None] * u
+    return u
+
+
 def compose(config: MeshConfig) -> np.ndarray:
     """Multiply the mesh cells into an m x m unitary.
 
     Cells act in column order (cells within a column address disjoint mode
     pairs, so their order is immaterial), then the output phases.
     """
-    m = config.modes
-    u = np.eye(m, dtype=np.complex128)
-    for cell in sorted(config.cells, key=lambda c: (c.column, c.row)):
-        block = mzi_transfer(cell.theta, cell.phi)
-        u[cell.row:cell.row + 2, :] = block @ u[cell.row:cell.row + 2, :]
-    if config.output_phases is not None:
-        u = np.exp(1j * np.asarray(config.output_phases))[:, None] * u
-    return u
+    cells = config.cells
+    phases = None if config.output_phases is None else np.array([config.output_phases])
+    return _compose_stack(
+        config.modes,
+        np.array([c.row for c in cells]),
+        np.array([c.column for c in cells]),
+        np.array([[c.theta for c in cells]]),
+        np.array([[c.phi for c in cells]]),
+        phases,
+    )[0]
 
 
 def haar_random_unitary(m: int, seed) -> np.ndarray:
@@ -191,6 +247,23 @@ def _null_from_left(u: np.ndarray, row: int, col: int) -> tuple[float, float]:
     theta = 2.0 * np.arctan2(abs(a), abs(b))
     phi = float(np.angle(b) - np.angle(a)) if abs(a) > 0 else 0.0
     return theta, phi
+
+
+@lru_cache(maxsize=64)
+def _greedy_columns(m: int, modes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(row, column) of each cell acting on modes (mode, mode + 1), in order.
+
+    Each cell takes the first column after the cells already on its two
+    modes; for the nulling order of `decompose` this reproduces the
+    rectangular tiling.
+    """
+    avail = [0] * m
+    slots = []
+    for mode in modes:
+        col = max(avail[mode], avail[mode + 1])
+        avail[mode] = avail[mode + 1] = col + 1
+        slots.append((mode, col))
+    return tuple(slots)
 
 
 def decompose(u: np.ndarray, atol: float = 1e-10) -> MeshConfig:
@@ -250,18 +323,91 @@ def decompose(u: np.ndarray, atol: float = 1e-10) -> MeshConfig:
         phases[mode + 1] = -np.exp(-1j * theta) * d2
         physical.append((mode, theta, phi_new))
 
-    # Greedy column assignment reproduces the rectangular tiling.
-    avail = [0] * m
-    cells = []
-    for mode, theta, phi in physical:
-        col = max(avail[mode], avail[mode + 1])
-        avail[mode] = avail[mode + 1] = col + 1
-        cells.append(MeshCell(row=mode, column=col, theta=theta, phi=phi))
+    slots = _greedy_columns(m, tuple(mode for mode, _, _ in physical))
+    cells = [MeshCell(row=row, column=col, theta=theta, phi=phi)
+             for (row, col), (_, theta, phi) in zip(slots, physical)]
     return MeshConfig(
         modes=m,
         cells=tuple(cells),
         output_phases=tuple(float(np.angle(p)) for p in phases),
     )
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    # numpy's scalar abs(z) is hypot; its array np.abs rounds differently
+    return np.hypot(z.real, z.imag)
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # numpy's scalar complex product, written out; its array product rounds differently
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _null_stack(us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`decompose` of a stack of unitaries (B, m, m), one nulling step for all.
+
+    Returns ``(rows, cols, theta, phi, out_phases)`` with the cells in the
+    order `decompose` lists them: ``theta``/``phi`` are (B, cells) and
+    ``out_phases`` (B, m), all reduced to [0, 2 pi) as `MeshCell` and
+    `MeshConfig` store them. Every step repeats `decompose`'s arithmetic
+    elementwise, so each row equals `decompose` of its unitary bit for bit.
+    The inputs are taken as unitary (unchecked).
+    """
+    b, m, _ = us.shape
+    work = np.array(us, dtype=np.complex128)
+    right_ops: list[tuple[int, np.ndarray, np.ndarray]] = []
+    left_ops: list[tuple[int, np.ndarray, np.ndarray]] = []
+    for diag in range(1, m):
+        if diag % 2 == 1:
+            for j in range(diag):
+                row, col = m - 1 - j, diag - 1 - j
+                a, c = work[:, row, col], work[:, row, col + 1]
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    z = -c / a
+                abs_z = _abs(z)
+                theta = 2.0 * np.arctan(abs_z)
+                phi = np.where(abs_z > 0, -np.angle(z), 0.0)
+                tiny = _abs(a) < 1e-300
+                theta, phi = np.where(tiny, np.pi, theta), np.where(tiny, 0.0, phi)
+                block = _transfers(theta, phi).conj().swapaxes(-1, -2)
+                work[:, :, col:col + 2] = work[:, :, col:col + 2] @ block
+                right_ops.append((col, theta, phi))
+        else:
+            for j in range(1, diag + 1):
+                row, col = m + j - diag - 1, j - 1
+                a, c = work[:, row - 1, col], work[:, row, col]
+                abs_a, abs_c = _abs(a), _abs(c)
+                theta = 2.0 * np.arctan2(abs_a, abs_c)
+                phi = np.where(abs_a > 0, np.angle(c) - np.angle(a), 0.0)
+                tiny = abs_c < 1e-300
+                theta, phi = np.where(tiny, np.pi, theta), np.where(tiny, 0.0, phi)
+                block = _transfers(theta, phi)
+                work[:, row - 1:row + 1, :] = block @ work[:, row - 1:row + 1, :]
+                left_ops.append((row - 1, theta, phi))
+
+    on_diag = (slice(None), np.arange(m), np.arange(m))
+    phases = work[on_diag].copy()
+    work[on_diag] = 0.0
+    if float(np.max(np.abs(work))) > 1e-8:
+        raise NumericalError("nulling failed to reach a diagonal matrix")
+
+    # the commutation of `decompose`, with its scalar complex products
+    physical = list(right_ops)
+    for mode, theta, phi in reversed(left_ops):
+        d1, d2 = phases[:, mode], phases[:, mode + 1]
+        phi_new = np.angle(_times(d1, np.conj(d2)))
+        phases[:, mode] = _times(-np.exp(-1j * (theta + phi)), d2)
+        phases[:, mode + 1] = _times(-np.exp(-1j * theta), d2)
+        physical.append((mode, theta, phi_new))
+
+    rows, cols = np.array(_greedy_columns(m, tuple(op[0] for op in physical))).T
+    two_pi = 2.0 * np.pi
+    theta = np.mod(np.stack([op[1] for op in physical], axis=1), two_pi)
+    phi = np.mod(np.stack([op[2] for op in physical], axis=1), two_pi)
+    return rows, cols, theta, phi, np.mod(np.angle(phases), two_pi)
 
 
 # --- qudit preparation circuits -------------------------------------------
@@ -557,19 +703,26 @@ def hyperspherical_angles(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     return thetas, phis
 
 
+def _chain(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Amplitudes of the hyperspherical chain: (..., d-1) angles -> (..., d).
+
+    ``a_k = prod_{j<k} sin(t_j) cos(t_k) e^{i p_{k-1}}`` (no phase on a_0, no
+    cosine on a_{d-1}); unit norm up to rounding.
+    """
+    thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
+    ones = np.ones(thetas.shape[:-1] + (1,))
+    amps = np.cumprod(np.concatenate([ones, np.sin(thetas)], axis=-1), axis=-1).astype(np.complex128)
+    amps[..., :-1] *= np.cos(thetas)
+    amps[..., 1:] = amps[..., 1:] * np.exp(1j * phis)
+    return amps
+
+
 def state_from_hyperspherical(thetas: np.ndarray, phis: np.ndarray) -> PureState:
     """Rebuild a pure state from chain angles; unit norm by construction."""
     thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
-    d = thetas.size + 1
-    if phis.size != d - 1:
+    if phis.size != thetas.size:
         raise ValidationError("need one phase per level past the first")
-    amps = np.zeros(d, dtype=np.complex128)
-    prefix = 1.0
-    for k in range(d - 1):
-        amps[k] = prefix * np.cos(thetas[k]) * (np.exp(1j * phis[k - 1]) if k >= 1 else 1.0)
-        prefix *= np.sin(thetas[k])
-    amps[d - 1] = prefix * np.exp(1j * phis[d - 2])
-    return PureState.normalized(amps)
+    return PureState.normalized(_chain(thetas, phis))
 
 
 def overlap_via_counts(
@@ -665,48 +818,64 @@ def dispersion(
 
     ``state_params`` holds one angle vector per state for ``family``
     (default: the hyperspherical chain, angles then phases concatenated).
+    All perturbations are drawn in one call, in the order of one
+    `AngleNoise.perturb` call per trial, stage and state, and all draws are
+    scored at once; a custom ``family`` is called once per perturbed vector.
     """
-    if eps < 0 or delta < 0:
-        raise ValidationError("error magnitudes must be nonnegative")
+    if not (0 <= eps < np.inf and 0 <= delta < np.inf):  # also rejects NaN
+        raise ValidationError("error magnitudes must be finite and nonnegative")
     if trials_mc < 1:
         raise ValidationError("need at least one Monte-Carlo trial")
-    if family is None:
-        family = _hyperspherical_family
     params = [np.asarray(p, dtype=float) for p in state_params]
     if len(params) != spec.n:
         raise ValidationError(f"spec expects {spec.n} parameter vectors")
-    noise = AngleNoise(relative=eps, additive=delta)
+    if not all(np.all(np.isfinite(p)) for p in params):
+        raise ValidationError("circuit angles must be finite")
+    if family is None:
+        for p in params:
+            if p.size % 2:
+                raise ValidationError("need one phase per level past the first")
+
+        def amplitudes(angles: np.ndarray) -> np.ndarray:
+            half = angles.shape[-1] // 2
+            return _chain(angles[..., :half], angles[..., half:])
+    else:
+        def amplitudes(angles: np.ndarray) -> np.ndarray:
+            flat = angles.reshape(-1, angles.shape[-1])
+            return np.array([family(a).amplitudes for a in flat]).reshape(angles.shape[:-1] + (-1,))
+
+    # The draws of `AngleNoise.perturb`, all at once: per trial, stage
+    # (prep, meas) and state, the relative then the additive errors; odd
+    # trials take the corners of the error cube.
     rng = make_rng(seed)
-    ideal = [family(p) for p in params]
-    ideal_value = evaluate_ordered(spec, ideal, ideal)
-    values = np.empty(trials_mc)
-    for t in range(trials_mc):
-        corners = t % 2 == 1
-        prep = [family(noise.perturb(p, rng, corners=corners)) for p in params]
-        meas = [family(noise.perturb(p, rng, corners=corners)) for p in params]
-        values[t] = evaluate_ordered(spec, prep, meas)
+    sizes = [p.size for p in params]
+    u = rng.uniform(-1.0, 1.0, (trials_mc, 2, 2 * sum(sizes)))
+    u[1::2] = np.sign(u[1::2])
+    offsets = np.cumsum([0] + [2 * k for k in sizes])
+    drawn = np.stack([
+        amplitudes(p * (1.0 + eps * u[..., o:o + p.size]) + delta * u[..., o + p.size:o + 2 * p.size])
+        for p, o in zip(params, offsets)
+    ], axis=2)  # (trials, stage, state, d)
+    weights = np.triu(spec.weight_matrix(), 1)
+    ideal = np.stack([amplitudes(p) for p in params])
+    values = _ordered_values(weights, drawn[:, 0], drawn[:, 1])
     values.setflags(write=False)
     return DispersionResult(
         min_value=float(values.min()),
         max_value=float(values.max()),
         values=values,
-        ideal_value=ideal_value,
+        ideal_value=float(_ordered_values(weights, ideal, ideal)),
     )
 
 
-def _hyperspherical_family(p: np.ndarray) -> PureState:
-    # p concatenates d-1 chain angles and d-1 phases
-    half = p.size // 2
-    return state_from_hyperspherical(p[:half], p[half:])
+def _ordered_values(weights: np.ndarray, prep: np.ndarray, meas: np.ndarray) -> np.ndarray:
+    """Functional with edge (i, j), i < j, read as |<meas_j|prep_i>|^2.
 
-
-def evaluate_ordered(spec: InequalitySpec, prep: Sequence[PureState], meas: Sequence[PureState]) -> float:
-    """Apply the functional with edge (i, j) read as |<meas_j|prep_i>|^2."""
-    total = 0.0
-    for (i, j), w in spec.weights.items():
-        z = np.vdot(meas[j].amplitudes, prep[i].amplitudes)
-        total += w * (z.real**2 + z.imag**2)
-    return float(total)
+    ``prep`` and ``meas`` hold amplitudes (..., n, d); ``weights`` is the
+    upper-triangular edge matrix.
+    """
+    g = np.einsum("...ja,...ia->...ij", meas.conj(), prep)
+    return np.einsum("...ij,ij->...", g.real**2 + g.imag**2, weights)
 
 
 # --- thermo-optic calibration ----------------------------------------------
@@ -882,20 +1051,31 @@ def perturbed_mesh_fidelity_study(
     and score with `fidelity`. The default error scale is chosen so a
     six-mode mesh lands in the high-99% fidelity regime typical of a
     calibrated thermo-optic device.
+
+    Each target and then its errors (one (theta, phi) pair per cell, in
+    `decompose`'s cell order) are drawn in turn; all targets are then nulled
+    in one `_null_stack` pass and all noisy meshes recomposed in one
+    `_compose_stack` call, bitwise the same as the unitary-by-unitary route.
     """
+    if modes < 2:
+        raise ValidationError("a mesh needs at least 2 modes")
+    if n_unitaries < 1:
+        raise ValidationError(f"need at least one unitary, got {n_unitaries}")
+    if not (np.isfinite(sigma_rad) and sigma_rad >= 0):
+        raise ValidationError(f"sigma_rad must be finite and nonnegative, got {sigma_rad!r}")
     rng = make_rng(seed)
-    samples = np.empty(n_unitaries)
+    cells = modes * (modes - 1) // 2
+    targets = np.empty((n_unitaries, modes, modes), dtype=np.complex128)
+    noise = np.empty((n_unitaries, cells, 2))
     for k in range(n_unitaries):
-        target = haar_random_unitary(modes, rng)
-        config = decompose(target)
-        noisy_cells = tuple(
-            MeshCell(c.row, c.column,
-                     c.theta + rng.normal(0.0, sigma_rad),
-                     c.phi + rng.normal(0.0, sigma_rad))
-            for c in config.cells
-        )
-        noisy = MeshConfig(modes=modes, cells=noisy_cells, output_phases=config.output_phases)
-        samples[k] = fidelity(target, compose(noisy))
+        targets[k] = haar_random_unitary(modes, rng)
+        noise[k] = rng.normal(0.0, sigma_rad, (cells, 2))
+    rows, cols, theta, phi, out_phases = _null_stack(targets)
+    two_pi = 2.0 * np.pi
+    noisy = _compose_stack(modes, rows, cols, np.mod(theta + noise[..., 0], two_pi),
+                           np.mod(phi + noise[..., 1], two_pi), out_phases)
+    # `fidelity` of each (target, noisy) pair
+    samples = (np.abs(targets) * np.abs(noisy)).reshape(n_unitaries, -1).sum(axis=1) / modes
     samples.setflags(write=False)
     return FidelityStudy(mean=float(samples.mean()), std=float(samples.std()),
                          samples=samples, sigma_rad=sigma_rad)

@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Sequence
+from contextlib import contextmanager
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -56,6 +57,17 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@contextmanager
+def _reading(kind: str) -> Iterator[None]:
+    """Turn any lookup or conversion failure inside into a `ValidationError`."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise ValidationError(f"malformed {kind} record: {exc}") from exc
+
+
 def _complex_pairs(v: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(v).ravel()]
 
@@ -69,13 +81,11 @@ def pure_state_to_dict(s: PureState) -> dict:
 
 
 def pure_state_from_dict(d: dict) -> PureState:
-    try:
+    with _reading("pure-state"):
         amps = _from_pairs(d["amplitudes"])
         if int(d["dim"]) != amps.size:
             raise ValidationError("dim does not match amplitude count")
         return PureState(amps)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValidationError(f"malformed pure-state record: {exc}") from exc
 
 
 def density_matrix_to_dict(m: DensityMatrix) -> dict:
@@ -83,14 +93,12 @@ def density_matrix_to_dict(m: DensityMatrix) -> dict:
 
 
 def density_matrix_from_dict(d: dict) -> DensityMatrix:
-    try:
+    with _reading("density-matrix"):
         dim = int(d["dim"])
         flat = _from_pairs(d["entries"])
         if flat.size != dim * dim:
             raise ValidationError("entry count does not match dim^2")
         return DensityMatrix(flat.reshape(dim, dim))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValidationError(f"malformed density-matrix record: {exc}") from exc
 
 
 def overlap_set_to_dict(o: OverlapSet) -> dict:
@@ -98,10 +106,8 @@ def overlap_set_to_dict(o: OverlapSet) -> dict:
 
 
 def overlap_set_from_dict(d: dict) -> OverlapSet:
-    try:
+    with _reading("overlap-set"):
         return OverlapSet.from_upper(int(d["n"]), [float(v) for v in d["upper"]])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed overlap-set record: {exc}") from exc
 
 
 def inequality_to_dict(spec: InequalitySpec) -> dict:
@@ -114,25 +120,21 @@ def inequality_to_dict(spec: InequalitySpec) -> dict:
 
 
 def inequality_from_dict(d: dict) -> InequalitySpec:
-    try:
+    with _reading("inequality"):
         weights = {(int(e["i"]), int(e["j"])): float(e["w"]) for e in d["weights"]}
         return InequalitySpec(n=int(d["n"]), weights=weights,
                               classical_bound=float(d["classical_bound"]),
                               name=str(d.get("name", "")))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed inequality record: {exc}") from exc
 
 
 def state_set_from_dict(d: dict) -> list:
     """Read a state-set file: pure states or density matrices."""
-    try:
+    with _reading("state-set"):
         kind = d["kind"]
         if kind == "pure":
             return [pure_state_from_dict(s) for s in d["states"]]
         if kind == "density":
             return [density_matrix_from_dict(s) for s in d["states"]]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed state-set record: {exc}") from exc
     raise ValidationError(f"unknown state-set kind {d.get('kind')!r}")
 
 
@@ -187,14 +189,12 @@ def mesh_config_to_dict(c: MeshConfig) -> dict:
 
 
 def mesh_config_from_dict(d: dict) -> MeshConfig:
-    try:
+    with _reading("mesh-config"):
         cells = tuple(MeshCell(int(x["row"]), int(x["column"]),
                                float(x["theta"]), float(x["phi"])) for x in d["cells"])
         phases = d.get("output_phases")
         return MeshConfig(modes=int(d["modes"]), cells=cells,
                           output_phases=tuple(float(p) for p in phases) if phases is not None else None)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed mesh-config record: {exc}") from exc
 
 
 def unitary_to_dict(u: np.ndarray) -> dict:
@@ -207,11 +207,9 @@ def unitary_from_dict(d: dict) -> np.ndarray:
     Unitarity is left to the consumer (`mesh.decompose` checks it; a
     measured transfer matrix fed to `mesh.fidelity` need not be unitary).
     """
-    try:
+    with _reading("unitary"):
         dim = int(d["dim"])
         flat = _from_pairs(d["entries"])
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ValidationError(f"malformed unitary record: {exc}") from exc
     if dim < 1 or flat.size != dim * dim:
         raise ValidationError(f"unitary record has {flat.size} entries, expected dim^2 with dim={dim}")
     if not np.all(np.isfinite(flat)):
@@ -229,15 +227,13 @@ def calibration_to_dict(m: CalibrationModel) -> dict:
 
 
 def calibration_from_dict(d: dict) -> CalibrationModel:
-    try:
+    with _reading("calibration"):
         return CalibrationModel(
             theta0=np.array(d["theta0"], dtype=float),
             alpha=np.array(d["alpha"], dtype=float),
             beta=np.array(d["beta"], dtype=float),
             heater_columns=tuple(int(c) for c in d["heater_columns"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed calibration record: {exc}") from exc
 
 
 def count_record_to_dict(r: CountRecord) -> dict:

@@ -157,3 +157,43 @@ def hn_family_gradient(amplitudes_of, params: np.ndarray, step: float = 1e-6) ->
             values.append(hn_value_of_amplitudes(np.array([amplitudes_of(row) for row in moved])))
         grad[idx] = (values[0] - values[1]) / (2.0 * step)
     return grad
+
+
+def cell_by_cell_compose(modes: int, cells, output_phases, transfer) -> np.ndarray:
+    """Mesh unitary multiplied one cell at a time, in (column, row) order.
+
+    ``cells`` holds objects with ``row``, ``column``, ``theta`` and ``phi``;
+    ``transfer(theta, phi)`` gives a cell's 2 x 2 matrix. Each cell's block
+    left-multiplies rows (row, row + 1) of the running product, then the
+    output phases (if any) scale the rows.
+    """
+    u = np.eye(modes, dtype=np.complex128)
+    for cell in sorted(cells, key=lambda c: (c.column, c.row)):
+        u[cell.row:cell.row + 2, :] = transfer(cell.theta, cell.phi) @ u[cell.row:cell.row + 2, :]
+    if output_phases is not None:
+        u = np.exp(1j * np.asarray(output_phases))[:, None] * u
+    return u
+
+
+def chain_amplitudes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Hyperspherical chain state, level by level: amplitude k is the running
+    product of sines times cos(t_k) e^{i p_{k-1}}; the last level takes the
+    full product of sines and the last phase."""
+    d = len(thetas) + 1
+    amps = np.zeros(d, dtype=np.complex128)
+    prefix = 1.0
+    for k in range(d - 1):
+        amps[k] = prefix * np.cos(thetas[k]) * (np.exp(1j * phis[k - 1]) if k >= 1 else 1.0)
+        prefix *= np.sin(thetas[k])
+    amps[d - 1] = prefix * np.exp(1j * phis[d - 2])
+    return amps
+
+
+def ordered_functional(weights, prep, meas) -> float:
+    """Sum of w |<meas_j|prep_i>|^2 over the edges (i, j) of ``weights``,
+    one explicit inner product per edge."""
+    total = 0.0
+    for (i, j), w in weights.items():
+        z = sum(np.conj(b) * a for a, b in zip(prep[i], meas[j]))
+        total += w * abs(z) ** 2
+    return float(total)

@@ -151,6 +151,30 @@ MALFORMED_RECORDS = [
     pytest.param({"m.json": {"subcommand": "bogus", "parameters": {}}}, ["replay", "m.json"],
                  id="replay-unknown-subcommand"),
     pytest.param({"c.json": []}, ["mesh", "simulate", "--config", "c.json"], id="mesh-config-list"),
+    pytest.param({"o.json": {"n": 3, "upper": "abc"}}, ["evaluate", "--input", "o.json", "--inequality", "h3"],
+                 id="evaluate-upper-string"),
+    pytest.param({"s.json": {"kind": "pure", "states": [{"dim": "two", "amplitudes": [[1, 0]]}]}},
+                 ["evaluate", "--input", "s.json", "--inequality", "h3"], id="evaluate-dim-string"),
+    pytest.param({"c.json": {"modes": "six", "cells": []}}, ["mesh", "simulate", "--config", "c.json"],
+                 id="mesh-config-modes-string"),
+    pytest.param({"m.json": {"subcommand": "sample", "parameters": {
+        "d": "x", "inequality": "h4", "num_sets": 5, "bins": 5, "seed": 0, "out_dir": "out", "format": "json"}}},
+                 ["replay", "m.json"], id="replay-d-string"),
+    pytest.param({"m.json": {"subcommand": "sample", "parameters": {
+        "d": 2, "inequality": "h4", "num_sets": 5, "bins": 0, "seed": 0, "out_dir": "out", "format": "json"}}},
+                 ["replay", "m.json"], id="replay-bins-zero"),
+    pytest.param({"m.json": {"subcommand": "sample", "parameters": {
+        "d": 2.5, "inequality": "h4", "num_sets": 5, "bins": 5, "seed": 0, "out_dir": "out", "format": "json"}}},
+                 ["replay", "m.json"], id="replay-d-fraction"),
+    pytest.param({"m.json": {"subcommand": "sample", "parameters": {
+        "d": 2, "inequality": "h4", "num_sets": 5, "bins": 5, "seed": 0, "out_dir": "out", "format": "xml"}}},
+                 ["replay", "m.json"], id="replay-format-choice"),
+    pytest.param({"m.json": {"subcommand": "evaluate", "parameters": {
+        "input": "ok.json", "inequality": 5, "out_dir": "out", "thresholds": False, "slack": 0.0,
+        "seed": 0, "format": "json"}}}, ["replay", "m.json"], id="replay-inequality-number"),
+    pytest.param({"m.json": {"subcommand": "evaluate", "parameters": {
+        "input": "ok.json", "inequality": "hmzi", "out_dir": "out", "thresholds": "yes", "slack": 0.0,
+        "seed": 0, "format": "json"}}}, ["replay", "m.json"], id="replay-flag-string"),
 ]
 
 
@@ -163,6 +187,16 @@ class TestMalformedRecords:
             write_json(tmp_path / name, obj)
         assert main(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestSampleBins:
+    @pytest.mark.parametrize("bins", ["0", "-2", "x"])
+    def test_nonpositive_bins_is_an_argparse_error(self, tmp_path, capsys, bins):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--inequality", "h4", "--d", "2", "--num-sets", "5", "--bins", bins,
+                  "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--bins" in capsys.readouterr().err
 
 
 class TestColdStart:
@@ -314,6 +348,21 @@ class TestMeshCommands:
         payload = json.loads((tmp_path / "fidelity_study.json").read_text())
         assert 0.98 < payload["mean"] < 1.0
 
+    @pytest.mark.parametrize("option", [["--num-unitaries", "0"], ["--sigma", "-1"], ["--sigma", "nan"]])
+    def test_fidelity_study_bad_arguments_exit_code(self, tmp_path, capsys, option):
+        rc = main(["mesh", "fidelity", "--study", *option, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "fidelity_study.json").exists()
+
+    def test_fidelity_study_replays_byte_identically(self, tmp_path, capsys):
+        rc = main(["mesh", "fidelity", "--study", "--num-unitaries", "5", "--modes", "5", "--sigma", "0.07",
+                   "--seed", "4", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        first = (tmp_path / "fidelity_study.json").read_bytes()
+        assert main(["replay", str(tmp_path / "manifest-mesh-fidelity.json")]) == EXIT_OK
+        assert (tmp_path / "fidelity_study.json").read_bytes() == first
+
     def test_calibrate_from_csv(self, tmp_path, capsys):
         from overlapkit.mesh import CalibrationModel, calibration_forward
         model = CalibrationModel(theta0=np.array([1.2]), alpha=np.array([[24.0]]),
@@ -414,6 +463,24 @@ class TestSerializationRoundtrips:
     def test_unitary(self):
         u = haar_random_unitary(3, 4)
         assert np.array_equal(ser.unitary_from_dict(ser.unitary_to_dict(u)), u)
+
+    @pytest.mark.parametrize("reader, record", [
+        (ser.overlap_set_from_dict, {"n": 3, "upper": "abc"}),
+        (ser.overlap_set_from_dict, {"n": "three", "upper": [0.1, 0.2, 0.3]}),
+        (ser.pure_state_from_dict, {"dim": "two", "amplitudes": [[1, 0], [0, 0]]}),
+        (ser.pure_state_from_dict, {"dim": 1, "amplitudes": [["one", 0]]}),
+        (ser.density_matrix_from_dict, {"dim": "one", "entries": [[1, 0]]}),
+        (ser.inequality_from_dict, {"n": 3, "classical_bound": "one", "weights": []}),
+        (ser.inequality_from_dict, {"n": 3, "classical_bound": 1, "weights": [{"i": "a", "j": 1, "w": 1}]}),
+        (ser.state_set_from_dict, {"kind": "pure", "states": [{"dim": "x", "amplitudes": [[1, 0]]}]}),
+        (ser.mesh_config_from_dict, {"modes": "six", "cells": []}),
+        (ser.mesh_config_from_dict, {"modes": 2, "cells": [{"row": 0, "column": 0, "theta": "a", "phi": 0}]}),
+        (ser.calibration_from_dict, {"theta0": ["abc"], "alpha": [[1.0]], "beta": [0.0], "heater_columns": [0]}),
+        (ser.calibration_from_dict, {"theta0": [0.0], "alpha": [[1.0]], "beta": [0.0], "heater_columns": ["a"]}),
+    ])
+    def test_unconvertible_values_rejected(self, reader, record):
+        with pytest.raises(ValidationError, match="malformed"):
+            reader(record)
 
     @pytest.mark.parametrize("record", [
         {"entries": [[1, 0]]},

@@ -36,7 +36,13 @@ from overlapkit.mesh import (
 )
 from overlapkit.states import ValidationError, basis_state, make_rng, overlap
 
-from _oracles import hn_family_gradient, hn_value_of_amplitudes
+from _oracles import (
+    cell_by_cell_compose,
+    chain_amplitudes,
+    hn_family_gradient,
+    hn_value_of_amplitudes,
+    ordered_functional,
+)
 
 SEEDS = [0, 1, 2]
 
@@ -143,6 +149,71 @@ class TestDecompose:
         assert np.max(np.abs(compose(decompose(u)) - u)) < 1e-9
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def config_arrays(config: MeshConfig):
+    """(rows, cols, theta, phi, output phases) of a config, cells in its order."""
+    cells = config.cells
+    return (np.array([c.row for c in cells]), np.array([c.column for c in cells]),
+            np.array([c.theta for c in cells]), np.array([c.phi for c in cells]),
+            np.array(config.output_phases))
+
+
+class TestBatchedKernels:
+    """The array kernels reproduce the one-cell-at-a-time routes bit for bit."""
+
+    def test_transfers_match_mzi_transfer(self):
+        angles = np.concatenate([make_rng(0).uniform(-7.0, 7.0, (500, 2)),
+                                 [[0.0, 0.0], [np.pi, 0.0], [2 * np.pi, np.pi], [np.pi / 2, -np.pi]]])
+        stacked = mesh._transfers(angles[:, 0], angles[:, 1])
+        for (theta, phi), t in zip(angles, stacked):
+            assert same_bits(t, mzi_transfer(float(theta), float(phi)))
+
+    @pytest.mark.parametrize("m", range(2, 33))
+    def test_compose_matches_cell_by_cell(self, m):
+        rng = make_rng(100 + m)
+        cells = tuple(MeshCell(r, c, rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
+                      for r, c in rng.permutation(clements_layout(m)))
+        phases = tuple(rng.uniform(0, 2 * np.pi, m))
+        for out in (phases, None):
+            config = MeshConfig(modes=m, cells=cells, output_phases=out)
+            assert same_bits(compose(config), cell_by_cell_compose(m, cells, config.output_phases, mzi_transfer))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8])
+    @pytest.mark.parametrize("size", [1, 20])
+    def test_null_stack_matches_decompose(self, m, size):
+        rng = make_rng(200 + m)
+        us = [haar_random_unitary(m, rng) for _ in range(size)]
+        if size > 1:
+            # exact zeros and unit moduli take the degenerate branches of the nulling
+            us[0] = np.eye(m, dtype=complex)
+            us[1] = np.eye(m)[rng.permutation(m)].astype(complex)
+        got = mesh._null_stack(np.array(us))
+        for k, u in enumerate(us):
+            want = config_arrays(decompose(u))
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+            for g, w in zip(got[2:], want[2:]):
+                assert same_bits(g[k], w)
+
+    @pytest.mark.parametrize("modes", range(2, 9))
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.1])
+    def test_fidelity_study_matches_per_unitary_reference(self, modes, sigma):
+        study = mesh.perturbed_mesh_fidelity_study(modes, 6, sigma, seed=modes)
+        rng = make_rng(modes)
+        want = []
+        for _ in range(6):
+            target = haar_random_unitary(modes, rng)
+            config = decompose(target)
+            noisy = [MeshCell(c.row, c.column, c.theta + rng.normal(0.0, sigma), c.phi + rng.normal(0.0, sigma))
+                     for c in config.cells]
+            want.append(fidelity(target, cell_by_cell_compose(modes, noisy, config.output_phases, mzi_transfer)))
+        assert same_bits(study.samples, np.array(want))
+        assert study.mean == float(np.mean(want)) and study.std == float(np.std(want))
+
+
 class TestPreparationCircuits:
     def test_qutrit_reference_directions(self):
         assert overlap(prepare_qutrit(0, 0, 0.3, 0.9), basis_state(3, 0)) == pytest.approx(1.0)
@@ -237,6 +308,14 @@ class TestHypersphericalMap:
             rebuilt = state_from_hyperspherical(thetas, phis)
             assert overlap(rebuilt, s) == pytest.approx(1.0, abs=1e-12)
 
+    def test_matches_level_by_level_chain(self):
+        rng = make_rng(4)
+        for d in (2, 3, 5, 8):
+            for _ in range(20):
+                thetas, phis = rng.uniform(-4.0, 4.0, (2, d - 1))
+                want = chain_amplitudes(thetas, phis)
+                assert same_bits(state_from_hyperspherical(thetas, phis).amplitudes, want / np.linalg.norm(want))
+
 
 class TestCounts:
     def test_identical_states(self):
@@ -311,6 +390,47 @@ class TestDispersion:
         res = dispersion(make_hn(3), params, 0.0, 0.0, 16, seed=3)
         assert res.half_width == pytest.approx(0.0, abs=1e-12)
         assert res.ideal_value == pytest.approx(evaluate_states(make_hn(3), states), abs=1e-9)
+
+    @staticmethod
+    def per_draw_reference(spec, params, eps, delta, trials, seed, amplitudes):
+        """One `AngleNoise.perturb` call per state and stage, as the draws were first made."""
+        noise, rng = AngleNoise(relative=eps, additive=delta), make_rng(seed)
+        values = []
+        for t in range(trials):
+            stages = [[amplitudes(noise.perturb(p, rng, corners=t % 2 == 1)) for p in params] for _ in range(2)]
+            values.append(ordered_functional(spec.weights, *stages))
+        ideal = [amplitudes(p) for p in params]
+        return np.array(values), ordered_functional(spec.weights, ideal, ideal)
+
+    @pytest.mark.parametrize("spec, states", [(make_hn(5), ququart_h5_set()), (make_h_mzi(), pentagon_qubit_set()),
+                                              (make_hn(4), qutrit_h4_set())])
+    def test_default_family_matches_per_draw_reference(self, spec, states):
+        params = [np.concatenate(hyperspherical_angles(s)) for s in states]
+        res = dispersion(spec, params, 0.01, 0.004, 41, seed=6)
+        values, ideal = self.per_draw_reference(spec, params, 0.01, 0.004, 41, 6,
+                                                lambda p: chain_amplitudes(p[:p.size // 2], p[p.size // 2:]))
+        assert np.max(np.abs(res.values - values)) <= 1e-12
+        assert abs(res.ideal_value - ideal) <= 1e-12
+        assert (res.min_value, res.max_value) == (float(res.values.min()), float(res.values.max()))
+
+    def test_custom_family_matches_per_draw_reference(self):
+        params = h5_ququart_parameters()
+        res = dispersion(make_hn(5), params, 0.005, 0.003, 30, seed=2, family=lambda p: prepare_ququart(*p))
+        values, ideal = self.per_draw_reference(make_hn(5), params, 0.005, 0.003, 30, 2,
+                                                lambda p: prepare_ququart(*p).amplitudes)
+        assert np.max(np.abs(res.values - values)) <= 1e-12
+        assert abs(res.ideal_value - ideal) <= 1e-12
+
+    @pytest.mark.parametrize("eps, delta, params", [
+        (0.01, 0.0, [np.zeros(3)] * 3),  # odd chain vector
+        (float("nan"), 0.0, [np.full(4, 0.3)] * 3),
+        (0.01, float("inf"), [np.full(4, 0.3)] * 3),
+        (-0.01, 0.0, [np.full(4, 0.3)] * 3),
+        (0.01, 0.0, [np.full(4, 0.3)] * 2 + [np.array([0.3, np.nan, 0.3, 0.3])]),
+    ])
+    def test_default_family_rejects_bad_input(self, eps, delta, params):
+        with pytest.raises(ValidationError):
+            dispersion(make_hn(3), params, eps, delta, 4)
 
 
 def synthetic_model(num_heaters: int, seed: int) -> CalibrationModel:
@@ -419,6 +539,14 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             fidelity(np.eye(3), np.eye(4))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_unitaries": 0}, {"n_unitaries": -3}, {"sigma_rad": -0.1},
+        {"sigma_rad": float("nan")}, {"sigma_rad": float("inf")}, {"modes": 1},
+    ])
+    def test_study_rejects_bad_arguments(self, kwargs):
+        with pytest.raises(ValidationError):
+            mesh.perturbed_mesh_fidelity_study(**{"modes": 4, "n_unitaries": 2, "sigma_rad": 0.1, **kwargs})
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
