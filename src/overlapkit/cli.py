@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", default="150deg")
     p.add_argument("--nu-min", type=float, default=0.0)
     p.add_argument("--nu-max", type=float, default=0.2)
-    p.add_argument("--nu-steps", type=int, default=41)
+    p.add_argument("--nu-steps", type=_positive_int, default=41)
     p.add_argument("--r-steps", type=int, default=0,
                    help="also sweep the reflectivity curve with this many points")
     p.add_argument("--r-max", type=float, default=0.99)

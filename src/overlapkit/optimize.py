@@ -58,12 +58,22 @@ def _thread_count() -> int:
 
 @dataclass(frozen=True)
 class MaximizationResult:
-    """Best local maximum found over pure-state tuples."""
+    """Best local maximum found over pure-state tuples.
+
+    ``converged`` says whether the best restart was stationary when the
+    ascent stopped. The diagnostics describe the whole run: ``iterations``
+    counts ascent steps, ``restarts_converged`` the stationary restarts,
+    and ``hit_max_iter`` is True when the ascent stopped after ``max_iter``
+    steps with restarts still moving. They are not serialized.
+    """
 
     value: float
     states: tuple[PureState, ...]
     restarts_used: int
     converged: bool
+    iterations: int
+    restarts_converged: int
+    hit_max_iter: bool
 
 
 @dataclass(frozen=True)
@@ -86,9 +96,14 @@ class SamplingReport:
     violation_count: int
 
 
-def _batch_objective(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Functional value per batch item; psi has shape (batch, n, d)."""
-    gram = psi @ psi.conj().transpose(0, 2, 1)
+def _gram(psi: np.ndarray) -> np.ndarray:
+    """Gram matrix per batch item of psi, shape (batch, n, d):
+    gram[b, i, j] = <psi_j|psi_i>."""
+    return psi @ psi.conj().transpose(0, 2, 1)
+
+
+def _gram_objective(weights: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Functional value per batch item from its Gram matrix."""
     return 0.5 * np.einsum("ij,bij->b", weights, gram.real**2 + gram.imag**2)
 
 
@@ -105,9 +120,13 @@ def maximize_pure(
     States are parameterized as unconstrained complex vectors normalized on
     evaluation; the ascent direction is the gradient of the smooth
     composite projected onto the tangent space of the product of spheres,
-    with a step-halving line search per restart. All restarts advance
-    simultaneously as one batched computation. Deterministic for a fixed
-    seed; ties between restarts go to the first (seed-ordered) tuple.
+    with a step-halving line search per restart. The live restarts advance
+    together as one batched computation. A restart that turns stationary
+    (gradient test passed, or step at the float floor) never moves again,
+    so it leaves the batch; the Gram matrix of an accepted trial is kept
+    for the next gradient. Every restart follows the same floating-point
+    path as in a batch of all restarts. Deterministic for a fixed seed;
+    ties between restarts go to the first (seed-ordered) tuple.
 
     The returned value is recomputed through `evaluate_states`, so it is a
     certified lower bound on the true maximum.
@@ -119,47 +138,71 @@ def maximize_pure(
     rng = make_rng(seed)
     n = spec.n
     w = spec.weight_matrix()
-    psi = haar_random_pure_batch(restarts, n, d, rng)
-    step = np.full(restarts, 0.25)
-    f = _batch_objective(w, psi)
-    grad_ok = np.zeros(restarts, dtype=bool)
+    # full per-restart arrays; a restart's row is final once it retires
+    psi_all = haar_random_pure_batch(restarts, n, d, rng)
+    step_all = np.full(restarts, 0.25)
+    grad_ok_all = np.zeros(restarts, dtype=bool)
+    # the live sub-batch, in seed order: restart indices and their state
+    live = np.arange(restarts)
+    psi, step = psi_all.copy(), step_all.copy()
+    gram = _gram(psi)
+    f_all = _gram_objective(w, gram)
+    f = f_all.copy()
+    iterations = 0
 
     for _ in range(max_iter):
         # gram[b, i, j] = <psi_j|psi_i>, so the ascent direction for state i
         # is sum_j w_ij gram[i, j] psi_j
-        gram = psi @ psi.conj().transpose(0, 2, 1)
         grad = (w * gram) @ psi
         # project out the radial (and global-phase) component per state
-        radial = np.sum(psi.conj() * grad, axis=2, keepdims=True)
+        radial = (psi.conj() * grad).sum(axis=2, keepdims=True)
         tangent = grad - radial * psi
-        gnorm_sq = np.sum(tangent.real**2 + tangent.imag**2, axis=(1, 2))
+        gnorm_sq = (tangent.real**2 + tangent.imag**2).sum(axis=(1, 2))
         grad_ok = gnorm_sq <= grad_tol**2
         active = ~grad_ok & (step > 1e-15)
-        if not np.any(active):
-            break
+        if np.count_nonzero(active) < live.size:
+            # a stationary restart never moves again: file it and drop it
+            done, retired = ~active, live[~active]
+            psi_all[retired], f_all[retired] = psi[done], f[done]
+            step_all[retired], grad_ok_all[retired] = step[done], grad_ok[done]
+            live = live[active]
+            psi, gram, f, step = psi[active], gram[active], f[active], step[active]
+            if live.size == 0:
+                break
+            tangent, gnorm_sq = tangent[active], gnorm_sq[active]
         trial = psi + step[:, None, None] * tangent
-        trial /= np.linalg.norm(trial, axis=2, keepdims=True)
-        f_trial = _batch_objective(w, trial)
+        # the arithmetic of np.linalg.norm(trial, axis=2), minus its argument handling
+        trial /= np.sqrt(np.add.reduce((trial.conj() * trial).real, axis=2, keepdims=True))
+        gram_trial = _gram(trial)
+        f_trial = _gram_objective(w, gram_trial)
         # Armijo, strict: equal-value drift steps must not keep a restart
         # alive, or stalls at float resolution never register
-        accept = active & (f_trial > f + 1e-4 * step * gnorm_sq)
-        psi[accept] = trial[accept]
-        f[accept] = f_trial[accept]
-        step[accept] = np.minimum(step[accept] * 1.3, 10.0)
-        shrink = active & ~accept
-        step[shrink] *= 0.5
+        accept = f_trial > f + 1e-4 * step * gnorm_sq
+        np.copyto(psi, trial, where=accept[:, None, None])
+        np.copyto(gram, gram_trial, where=accept[:, None, None])
+        np.copyto(f, f_trial, where=accept)
+        # grow an accepted step, halve a rejected one; a halved step is
+        # below the cap of 10 already
+        step *= np.where(accept, 1.3, 0.5)
+        np.minimum(step, 10.0, out=step)
+        iterations += 1
 
-    best = int(np.argmax(f))
-    states = tuple(PureState(psi[best, i] / np.linalg.norm(psi[best, i])) for i in range(n))
+    # restarts still live when max_iter ran out keep their last state
+    psi_all[live], f_all[live], step_all[live] = psi, f, step
+    best = int(np.argmax(f_all))
+    states = tuple(PureState(psi_all[best, i] / np.linalg.norm(psi_all[best, i])) for i in range(n))
     value = evaluate_states(spec, states)
     # a step driven to the float floor means the line search cannot improve
     # a stationary point at working precision
-    stationary = grad_ok | (step <= 1e-15)
+    stationary = grad_ok_all | (step_all <= 1e-15)
     return MaximizationResult(
         value=value,
         states=states,
         restarts_used=restarts,
         converged=bool(stationary[best]),
+        iterations=iterations,
+        restarts_converged=int(np.sum(stationary)),
+        hit_max_iter=bool(live.size),
     )
 
 
@@ -233,7 +276,7 @@ def sdp_upper_bound(n: int, d: int) -> SdpResult:
 def _haar_chunk(spec_w: np.ndarray, n: int, d: int, count: int, ss: np.random.SeedSequence) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(ss))
     psi = haar_random_pure_batch(count, n, d, rng)
-    return _batch_objective(spec_w, psi)
+    return _gram_objective(spec_w, _gram(psi))
 
 
 def haar_experiment(
@@ -308,6 +351,8 @@ def dimension_thresholds(
     """
     if not 3 <= n_max:
         raise ValidationError("n_max must be at least 3")
+    if d_max is not None and d_max < 2:
+        raise ValidationError("d_max must be at least 2")
     cells: list[ThresholdCell] = []
     rng = make_rng(seed)
     for n in range(3, n_max + 1):

@@ -197,3 +197,50 @@ def ordered_functional(weights, prep, meas) -> float:
         z = sum(np.conj(b) * a for a, b in zip(prep[i], meas[j]))
         total += w * abs(z) ** 2
     return float(total)
+
+
+def full_batch_ascent(weights: np.ndarray, psi: np.ndarray, max_iter: int = 4000, grad_tol: float = 1e-9):
+    """Multi-start sphere ascent that advances every restart on every pass.
+
+    ``psi`` is the (restarts, n, d) starting batch. Each pass recomputes
+    every restart's Gram matrix and gradient and masks the update of the
+    stationary ones; nothing leaves the batch and no Gram matrix is kept
+    between passes. Returns the best restart's normalized rows, whether it
+    was stationary, the number of ascent steps, the number of stationary
+    restarts, and whether ``max_iter`` ran out first.
+    """
+    def objective(batch):
+        gram = batch @ batch.conj().transpose(0, 2, 1)
+        return 0.5 * np.einsum("ij,bij->b", weights, gram.real**2 + gram.imag**2)
+
+    psi = psi.copy()
+    restarts = len(psi)
+    step = np.full(restarts, 0.25)
+    f = objective(psi)
+    grad_ok = np.zeros(restarts, dtype=bool)
+    steps_taken, ran_out = 0, True
+    for _ in range(max_iter):
+        gram = psi @ psi.conj().transpose(0, 2, 1)
+        grad = (weights * gram) @ psi
+        radial = np.sum(psi.conj() * grad, axis=2, keepdims=True)
+        tangent = grad - radial * psi
+        gnorm_sq = np.sum(tangent.real**2 + tangent.imag**2, axis=(1, 2))
+        grad_ok = gnorm_sq <= grad_tol**2
+        active = ~grad_ok & (step > 1e-15)
+        if not np.any(active):
+            ran_out = False
+            break
+        trial = psi + step[:, None, None] * tangent
+        trial /= np.linalg.norm(trial, axis=2, keepdims=True)
+        f_trial = objective(trial)
+        accept = active & (f_trial > f + 1e-4 * step * gnorm_sq)
+        psi[accept] = trial[accept]
+        f[accept] = f_trial[accept]
+        step[accept] = np.minimum(step[accept] * 1.3, 10.0)
+        shrink = active & ~accept
+        step[shrink] *= 0.5
+        steps_taken += 1
+    best = int(np.argmax(f))
+    rows = np.array([psi[best, i] / np.linalg.norm(psi[best, i]) for i in range(psi.shape[1])])
+    stationary = grad_ok | (step <= 1e-15)
+    return rows, bool(stationary[best]), steps_taken, int(np.sum(stationary)), ran_out

@@ -248,6 +248,12 @@ class TestTable:
         by_cell = {(r["n"], r["d"]): r for r in rows}
         assert by_cell[(5, 4)]["max_value"] == pytest.approx(1.375, abs=1e-3)
 
+    def test_d_max_below_two_is_a_validation_error(self, tmp_path, capsys):
+        rc = main(["table", "--n-max", "4", "--d-max", "1", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_VALIDATION
+        assert "d_max" in capsys.readouterr().err
+        assert not (tmp_path / "threshold_table.json").exists()
+
 
 class TestInterrogation:
     def test_reference_curve(self, tmp_path, capsys):
@@ -258,6 +264,16 @@ class TestInterrogation:
         lines = (tmp_path / "robustness_curve.csv").read_text().splitlines()
         assert lines[0] == "nu,eta_quantum,eta_nc"
         assert len(lines) == 14
+
+
+class TestInterrogationSteps:
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_nonpositive_nu_steps_is_an_argparse_error(self, tmp_path, capsys, steps):
+        with pytest.raises(SystemExit) as exc:
+            main(["interrogation", "--nu-steps", steps, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--nu-steps" in capsys.readouterr().err
+        assert not (tmp_path / "robustness_curve.csv").exists()
 
 
 class TestSample:

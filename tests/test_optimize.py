@@ -19,12 +19,13 @@ from overlapkit.optimize import (
     thresholds_for,
     uniform_pure_ensemble,
 )
-from overlapkit.states import DensityMatrix, ValidationError, make_rng
+from overlapkit.states import DensityMatrix, PureState, ValidationError, haar_random_pure_batch, make_rng
 
 from _oracles import (
     FLAGGED_CELLS,
     PUBLISHED_HN_MAXIMA,
     ROUNDED_CELLS,
+    full_batch_ascent,
     projected_gradient_optimum,
     quadratic_optimum,
     simplex_projection_grid,
@@ -63,6 +64,37 @@ class TestMaximizePure:
             maximize_pure(make_hn(3), 0)
         with pytest.raises(ValidationError):
             maximize_pure(make_hn(3), 2, restarts=0)
+
+    def test_diagnostics_when_max_iter_runs_out(self):
+        res = maximize_pure(make_hn(10), 8, restarts=20, seed=1010, max_iter=50)
+        assert res.hit_max_iter
+        assert res.iterations == 50
+        assert 0 <= res.restarts_converged < 20
+
+
+# (spec, d, restarts, seed, max_iter): the d = n-2 straggler cells, one
+# restart, d = 1, the pentagon functional, and a run cut by max_iter
+FULL_BATCH_CASES = [
+    *[(make_hn(n), n - 2, restarts, n * 100 + n - 2, 4000)
+      for n in (6, 7, 8) for restarts in (16, 60)],
+    (make_hn(5), 3, 1, 7, 4000),
+    (make_hn(4), 1, 3, 0, 4000),
+    (make_h_mzi(), 2, 25, 42, 4000),
+    (make_hn(10), 8, 20, 1010, 50),
+]
+
+
+@pytest.mark.parametrize("spec,d,restarts,seed,max_iter", FULL_BATCH_CASES,
+                         ids=[f"{c[0].name}-d{c[1]}-r{c[2]}-it{c[4]}" for c in FULL_BATCH_CASES])
+def test_ascent_is_bitwise_the_full_batch_loop(spec, d, restarts, seed, max_iter):
+    res = maximize_pure(spec, d, restarts=restarts, seed=seed, max_iter=max_iter)
+    start = haar_random_pure_batch(restarts, spec.n, d, make_rng(seed))
+    rows, converged, steps, stationary, ran_out = full_batch_ascent(spec.weight_matrix(), start, max_iter)
+    states = [PureState(row) for row in rows]
+    assert np.array_equal(np.array([s.amplitudes for s in res.states]), np.array([s.amplitudes for s in states]))
+    assert np.array_equal(res.value, evaluate_states(spec, states))
+    assert res.converged == converged
+    assert (res.iterations, res.restarts_converged, res.hit_max_iter) == (steps, stationary, ran_out)
 
 
 class TestSimplexProjection:
@@ -303,6 +335,11 @@ class TestDimensionThresholds:
     def test_methods_recorded(self):
         cells = dimension_thresholds(4, restarts=30, seed=1)
         assert {c.method for c in cells} <= {"ascent", "both", "quadratic-bound"}
+
+    @pytest.mark.parametrize("d_max", [1, 0, -2])
+    def test_rejects_d_max_below_two(self, d_max):
+        with pytest.raises(ValidationError, match="d_max"):
+            dimension_thresholds(4, d_max, restarts=2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

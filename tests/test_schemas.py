@@ -35,3 +35,15 @@ def test_mesh_simulate_unitary_matches_schema(tmp_path):
     record = json.loads((tmp_path / "unitary.json").read_text())
     assert_matches(record, "unitary")
     assert len(record["entries"]) == record["dim"] ** 2 == 16
+
+
+def test_maximize_outputs_match_schemas(tmp_path):
+    argv = ["maximize", "--inequality", "h5", "--d", "3", "--restarts", "4", "--seed", "3", "--bound",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    record = json.loads((tmp_path / "maximization.json").read_text())
+    assert_matches(record, "maximization")
+    assert len(record["states"]) == 5
+    # the ascent diagnostics stay out of the record, so it is byte-stable
+    assert not {"iterations", "restarts_converged", "hit_max_iter"} & set(record)
+    assert_matches(json.loads((tmp_path / "manifest-maximize.json").read_text()), "run_manifest")
