@@ -64,6 +64,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type: a finite number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value < np.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
+    return value
+
+
 def named_inequality(name: str) -> InequalitySpec:
     key = name.strip().lower()
     if key == "hmzi":
@@ -390,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-steps", type=int, default=0,
                    help="also sweep the reflectivity curve with this many points")
     p.add_argument("--r-max", type=float, default=0.99)
-    p.add_argument("--band", type=float, default=0.005,
+    p.add_argument("--band", type=_nonnegative_float, default=0.005,
                    help="mismatch/dark-count envelope for the reflectivity band")
 
     p = sub.add_parser("sample", help="functional distribution over Haar-random tuples")

@@ -18,6 +18,7 @@ al., Optica 3, 1460 (2016).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -412,18 +413,35 @@ def _null_stack(us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 # --- qudit preparation circuits -------------------------------------------
 
+def _finite_angles(*angles) -> tuple[float, ...]:
+    """The angles as Python floats; non-finite ones are a validation error."""
+    values = tuple(map(float, angles))
+    if not all(map(math.isfinite, values)):
+        raise ValidationError("circuit angles must be finite")
+    return values
+
+
+def _cis(p: float) -> complex:
+    """``e^{i p}`` from libm's cos and sin, as ``np.exp(1j * p)`` computes it."""
+    return complex(math.cos(p), math.sin(p))
+
+
+# The preparation circuits run once per family call in the fits, so they are
+# scalar `math` expressions (the same products, bitwise, as numpy scalars).
+
 def prepare_qutrit(theta1: float, theta2: float, phi1: float, phi2: float) -> PureState:
     """Three-mode chain encoding of a qutrit.
 
     ``cos(t1)|0> + sin(t1) cos(t2) e^{i p1}|1> + sin(t1) sin(t2) e^{i p2}|2>``
     (first splitter peels mode 0, the second splits the remainder); unit
-    norm for any angles.
+    norm for any finite angles.
     """
-    t1, t2 = float(theta1), float(theta2)
+    t1, t2, p1, p2 = _finite_angles(theta1, theta2, phi1, phi2)
+    s1 = math.sin(t1)
     return PureState(np.array([
-        np.cos(t1),
-        np.sin(t1) * np.cos(t2) * np.exp(1j * phi1),
-        np.sin(t1) * np.sin(t2) * np.exp(1j * phi2),
+        math.cos(t1),
+        s1 * math.cos(t2) * _cis(p1),
+        s1 * math.sin(t2) * _cis(p2),
     ], dtype=np.complex128))
 
 
@@ -433,12 +451,13 @@ def prepare_ququart(theta1, theta2, theta3, phi1, phi2, phi3) -> PureState:
     ``cos(t2)cos(t1)|0> + sin(t2)cos(t1)e^{i p1}|1>
     + sin(t1)cos(t3)e^{i p2}|2> + sin(t1)sin(t3)e^{i p3}|3>``.
     """
-    t1, t2, t3 = float(theta1), float(theta2), float(theta3)
+    t1, t2, t3, p1, p2, p3 = _finite_angles(theta1, theta2, theta3, phi1, phi2, phi3)
+    c1, s1 = math.cos(t1), math.sin(t1)
     return PureState(np.array([
-        np.cos(t2) * np.cos(t1),
-        np.sin(t2) * np.cos(t1) * np.exp(1j * phi1),
-        np.sin(t1) * np.cos(t3) * np.exp(1j * phi2),
-        np.sin(t1) * np.sin(t3) * np.exp(1j * phi3),
+        math.cos(t2) * c1,
+        math.sin(t2) * c1 * _cis(p1),
+        s1 * math.cos(t3) * _cis(p2),
+        s1 * math.sin(t3) * _cis(p3),
     ], dtype=np.complex128))
 
 
@@ -448,13 +467,15 @@ def prepare_5mode(theta1, theta2, theta3, theta4, phi1, phi2, phi3) -> PureState
     Not universal: amplitudes on modes 0 and 1 always share a phase. The
     family still contains tuples maximizing the six-state functional.
     """
-    t1, t2, t3, t4 = float(theta1), float(theta2), float(theta3), float(theta4)
+    t1, t2, t3, t4, p1, p2, p3 = _finite_angles(theta1, theta2, theta3, theta4, phi1, phi2, phi3)
+    s1, c1 = math.sin(t1), math.cos(t1)
+    s1c2 = s1 * math.cos(t2)
     return PureState(np.array([
-        np.sin(t1) * np.cos(t2) * np.sin(t4),
-        np.sin(t1) * np.cos(t2) * np.cos(t4),
-        np.sin(t1) * np.sin(t2) * np.exp(1j * phi1),
-        np.cos(t1) * np.sin(t3) * np.exp(1j * phi2),
-        np.cos(t1) * np.cos(t3) * np.exp(1j * phi3),
+        s1c2 * math.sin(t4),
+        s1c2 * math.cos(t4),
+        s1 * math.sin(t2) * _cis(p1),
+        c1 * math.sin(t3) * _cis(p2),
+        c1 * math.cos(t3) * _cis(p3),
     ], dtype=np.complex128))
 
 
@@ -543,17 +564,20 @@ def _family_value_and_grad(
     state k moves the value by ``2 Re <g_k | d psi_k / dt>``. Only the family
     Jacobian ``d psi_k / dt`` is a forward difference, and an angle of state
     k moves only psi_k, so one evaluation costs ``n (params_per_state + 1)``
-    family calls.
+    family calls, made over one array of probe rows: each state's angles,
+    then those angles moved by each unit step.
     """
     n = spec.n
     w = spec.weight_matrix()
     steps = _FAMILY_STEP * np.eye(params_per_state)
 
     def value_and_grad(flat: np.ndarray) -> tuple[float, np.ndarray]:
-        rows = flat.reshape(n, params_per_state)
-        amps = np.array([family(r).amplitudes for r in rows])
-        shifted = np.array([[family(r + s).amplitudes for s in steps] for r in rows])
-        jac = (shifted - amps[:, None, :]) / _FAMILY_STEP
+        rows = flat.reshape(n, params_per_state)[:, None]
+        probes = np.concatenate([rows, rows + steps], axis=1)  # (n, p + 1, p)
+        probed = np.array([family(q).amplitudes for q in probes.reshape(-1, params_per_state)])
+        probed = probed.reshape(n, params_per_state + 1, -1)
+        amps = probed[:, 0].copy()  # contiguous: BLAS may round a strided operand differently
+        jac = (probed[:, 1:] - amps[:, None, :]) / _FAMILY_STEP
         gram = amps @ amps.conj().T
         value = 0.5 * float(np.sum(w * (gram.real**2 + gram.imag**2)))
         g = (w * gram) @ amps

@@ -119,7 +119,7 @@ class PureState:
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
         if amps.ndim != 1 or amps.size < 1:
             raise ValidationError("amplitudes must be a non-empty 1-d complex vector")
-        norm_sq = float(np.sum(amps.real**2 + amps.imag**2))
+        norm_sq = float(np.vdot(amps, amps).real)
         if not abs(norm_sq - 1.0) <= DEFAULT_TOL.unit_norm:  # also rejects NaN
             raise ValidationError(f"squared norm is {norm_sq!r}, expected 1 within {DEFAULT_TOL.unit_norm}")
         object.__setattr__(self, "amplitudes", _frozen(amps))

@@ -244,3 +244,57 @@ def full_batch_ascent(weights: np.ndarray, psi: np.ndarray, max_iter: int = 4000
     rows = np.array([psi[best, i] / np.linalg.norm(psi[best, i]) for i in range(psi.shape[1])])
     stationary = grad_ok | (step <= 1e-15)
     return rows, bool(stationary[best]), steps_taken, int(np.sum(stationary)), ran_out
+
+
+# The preparation circuits as numpy scalar expressions (np.sin, np.cos,
+# np.exp(1j * p) per amplitude); the library computes the same products
+# with `math` on Python floats.
+
+def qutrit_amplitudes(theta1, theta2, phi1, phi2) -> np.ndarray:
+    t1, t2 = float(theta1), float(theta2)
+    return np.array([
+        np.cos(t1),
+        np.sin(t1) * np.cos(t2) * np.exp(1j * phi1),
+        np.sin(t1) * np.sin(t2) * np.exp(1j * phi2),
+    ], dtype=np.complex128)
+
+
+def ququart_amplitudes(theta1, theta2, theta3, phi1, phi2, phi3) -> np.ndarray:
+    t1, t2, t3 = float(theta1), float(theta2), float(theta3)
+    return np.array([
+        np.cos(t2) * np.cos(t1),
+        np.sin(t2) * np.cos(t1) * np.exp(1j * phi1),
+        np.sin(t1) * np.cos(t3) * np.exp(1j * phi2),
+        np.sin(t1) * np.sin(t3) * np.exp(1j * phi3),
+    ], dtype=np.complex128)
+
+
+def five_mode_amplitudes(theta1, theta2, theta3, theta4, phi1, phi2, phi3) -> np.ndarray:
+    t1, t2, t3, t4 = float(theta1), float(theta2), float(theta3), float(theta4)
+    return np.array([
+        np.sin(t1) * np.cos(t2) * np.sin(t4),
+        np.sin(t1) * np.cos(t2) * np.cos(t4),
+        np.sin(t1) * np.sin(t2) * np.exp(1j * phi1),
+        np.cos(t1) * np.sin(t3) * np.exp(1j * phi2),
+        np.cos(t1) * np.cos(t3) * np.exp(1j * phi3),
+    ], dtype=np.complex128)
+
+
+def family_value_and_grad(weights: np.ndarray, family, params_per_state: int, step: float = 1e-8):
+    """Value and forward-difference family gradient of a functional, one
+    probe at a time: the base rows first, then every row moved by each
+    unit step in turn (``r + s``), two separate comprehensions."""
+    steps = step * np.eye(params_per_state)
+
+    def value_and_grad(flat: np.ndarray):
+        rows = flat.reshape(len(weights), params_per_state)
+        amps = np.array([family(r).amplitudes for r in rows])
+        shifted = np.array([[family(r + s).amplitudes for s in steps] for r in rows])
+        jac = (shifted - amps[:, None, :]) / step
+        gram = amps @ amps.conj().T
+        value = 0.5 * float(np.sum(weights * (gram.real**2 + gram.imag**2)))
+        g = (weights * gram) @ amps
+        grad = 2.0 * np.einsum("ka,kta->kt", g.conj(), jac).real
+        return value, grad.ravel()
+
+    return value_and_grad

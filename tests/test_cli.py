@@ -276,6 +276,31 @@ class TestInterrogationSteps:
         assert not (tmp_path / "robustness_curve.csv").exists()
 
 
+class TestInterrogationBand:
+    @pytest.mark.parametrize("band", ["-1", "nan", "inf"])
+    def test_negative_or_non_finite_band_is_an_argparse_error(self, tmp_path, capsys, band):
+        with pytest.raises(SystemExit) as exc:
+            main(["interrogation", "--r-steps", "3", "--band", band, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--band" in capsys.readouterr().err
+        assert not (tmp_path / "efficiency_curve.csv").exists()
+
+    def test_zero_band_is_the_ideal_curve(self, tmp_path):
+        assert main(["interrogation", "--r-steps", "3", "--band", "0", "--out-dir", str(tmp_path)]) == EXIT_OK
+        rows = [line.split(",") for line in (tmp_path / "efficiency_curve.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 3 and all(r[1] == r[2] == r[3] for r in rows)
+
+    def test_replayed_negative_band_is_a_validation_error(self, tmp_path, capsys):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["interrogation", "--r-steps", "3", "--out-dir", str(first)]) == EXIT_OK
+        manifest = json.loads((first / "manifest-interrogation.json").read_text())
+        manifest["parameters"].update(band=-1, out_dir=str(second))
+        path = write_json(tmp_path / "m.json", manifest)
+        assert main(["replay", path]) == EXIT_VALIDATION
+        assert "'band'" in capsys.readouterr().err
+        assert not (second / "efficiency_curve.csv").exists()
+
+
 class TestSample:
     def test_h6_d4_no_violation(self, tmp_path, capsys):
         rc = main(["sample", "--inequality", "h6", "--d", "4", "--num-sets", "20000",

@@ -34,14 +34,18 @@ from overlapkit.mesh import (
     ququart_parameters,
     state_from_hyperspherical,
 )
-from overlapkit.states import ValidationError, basis_state, make_rng, overlap
+from overlapkit.states import PureState, ValidationError, basis_state, make_rng, overlap
 
 from _oracles import (
     cell_by_cell_compose,
     chain_amplitudes,
+    family_value_and_grad,
+    five_mode_amplitudes,
     hn_family_gradient,
     hn_value_of_amplitudes,
     ordered_functional,
+    ququart_amplitudes,
+    qutrit_amplitudes,
 )
 
 SEEDS = [0, 1, 2]
@@ -295,6 +299,63 @@ class TestFamilyFit:
         assert len(calls) <= 5000
         assert value == pytest.approx(1.4, abs=1e-6)
         assert evaluate_states(make_hn(6), [prepare_5mode(*q) for q in params]) == pytest.approx(value, abs=1e-12)
+
+
+CIRCUITS = [(prepare_qutrit, qutrit_amplitudes, 4), (prepare_ququart, ququart_amplitudes, 6),
+            (prepare_5mode, five_mode_amplitudes, 7)]
+
+
+class TestScalarCircuits:
+    """The scalar `math` circuits and the one-array family gradient are
+    bitwise the numpy scalar forms and the per-probe gradient."""
+
+    @staticmethod
+    def angle_rows(p):
+        rows = make_rng(11).uniform(-4 * np.pi, 4 * np.pi, (10_000, p))
+        special = np.array([0.0, np.pi / 2, -np.pi / 2, np.pi, 1e6, -1e6])
+        rows[:special.size] = special[:, None]  # every angle special
+        for k in range(p):  # each special value in each position, random elsewhere
+            rows[special.size * (p + k):special.size * (p + k + 1), k] = special
+        return rows
+
+    @pytest.mark.parametrize("prepare, oracle, p", CIRCUITS)
+    def test_amplitudes_match_numpy_scalar_oracle(self, prepare, oracle, p):
+        rows = self.angle_rows(p)
+        got = np.array([prepare(*r).amplitudes for r in rows])
+        want = np.array([oracle(*r) for r in rows])
+        assert np.array_equal(got, want) and same_bits(got, want)  # signed zeros too
+
+    @pytest.mark.parametrize("prepare, p, position", [(c[0], c[2], k) for c in CIRCUITS for k in range(c[2])])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_is_a_validation_error(self, prepare, p, position, bad):
+        angles = [0.3] * p
+        angles[position] = bad
+        with pytest.raises(ValidationError, match="circuit angles must be finite"):
+            prepare(*angles)
+
+    @pytest.mark.parametrize("n, prepare, p", TestFamilyFit.FAMILIES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_family_gradient_matches_per_probe_oracle(self, n, prepare, p, seed):
+        spec = make_hn(n)
+        family = lambda q: prepare(*q)
+        flat = make_rng(seed).uniform(0.0, 2.0 * np.pi, n * p)
+        value, grad = mesh._family_value_and_grad(spec, family, p)(flat)
+        want_value, want_grad = family_value_and_grad(spec.weight_matrix(), family, p, mesh._FAMILY_STEP)(flat)
+        assert value == want_value
+        assert same_bits(grad, want_grad)
+
+    @pytest.mark.parametrize("seed", [7, 8, 9, 10])
+    def test_five_mode_fit_matches_numpy_scalar_family(self, seed):
+        got = mesh.maximize_pure_family(make_hn(6), lambda q: prepare_5mode(*q), 7, restarts=1, seed=seed)
+        want = mesh.maximize_pure_family(make_hn(6), lambda q: PureState(five_mode_amplitudes(*q)), 7,
+                                         restarts=1, seed=seed)
+        assert same_bits(got[0], want[0]) and got[1] == want[1]
+
+    def test_dispersion_matches_numpy_scalar_family(self):
+        args = (make_hn(5), h5_ququart_parameters(), 0.005, 0.003, 40)
+        got = dispersion(*args, seed=4, family=lambda q: prepare_ququart(*q))
+        want = dispersion(*args, seed=4, family=lambda q: PureState(ququart_amplitudes(*q)))
+        assert same_bits(got.values, want.values) and got.ideal_value == want.ideal_value
 
 
 class TestHypersphericalMap:

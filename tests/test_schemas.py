@@ -47,3 +47,12 @@ def test_maximize_outputs_match_schemas(tmp_path):
     # the ascent diagnostics stay out of the record, so it is byte-stable
     assert not {"iterations", "restarts_converged", "hit_max_iter"} & set(record)
     assert_matches(json.loads((tmp_path / "manifest-maximize.json").read_text()), "run_manifest")
+
+
+@pytest.mark.parametrize("theta, crosses", [("150deg", True), ("0", False)])
+def test_interrogation_outputs_match_schemas(tmp_path, theta, crosses):
+    assert main(["interrogation", "--theta", theta, "--nu-steps", "5", "--out-dir", str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "interrogation.json").read_text())
+    assert_matches(report, "interrogation")
+    assert (report["crossover_nu"] is not None) == crosses
+    assert_matches(json.loads((tmp_path / "manifest-interrogation.json").read_text()), "run_manifest")

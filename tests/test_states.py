@@ -39,6 +39,26 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             PureState(np.array([np.nan, 0.0]))
 
+    @staticmethod
+    def scaled_unit_vector(norm_sq):
+        v = np.array([1 + 2j, 3 - 1j, -0.5, 2j])
+        return v * np.sqrt(norm_sq / np.sum(np.abs(v) ** 2))
+
+    @pytest.mark.parametrize("offset", [5e-13, -5e-13])
+    def test_pure_state_accepts_norm_within_tolerance(self, offset):
+        v = self.scaled_unit_vector(1.0 + offset)
+        assert np.array_equal(PureState(v).amplitudes, v)
+
+    @pytest.mark.parametrize("offset", [2e-12, -2e-12])
+    def test_pure_state_rejects_norm_beyond_tolerance(self, offset):
+        with pytest.raises(ValidationError, match=r"^squared norm is 0\.99|^squared norm is 1\.00"):
+            PureState(self.scaled_unit_vector(1.0 + offset))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)])
+    def test_pure_state_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValidationError, match=r"^squared norm is .*, expected 1 within 1e-12$"):
+            PureState(np.array([bad, 0.0, 0.0]))
+
     def test_pure_state_normalized_factory(self):
         s = PureState.normalized([3.0, 4.0])
         assert s.amplitudes[0] == pytest.approx(0.6)
