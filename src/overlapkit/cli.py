@@ -43,14 +43,16 @@ EXIT_NUMERICAL = 3
 def parse_angle(text: str) -> float:
     """Radians by default; '150deg' or '150 deg' converts from degrees."""
     s = text.strip().lower()
-    if s.endswith("deg"):
-        return float(np.deg2rad(float(s[:-3].strip())))
-    if s.endswith("rad"):
+    degrees = s.endswith("deg")
+    if degrees or s.endswith("rad"):
         s = s[:-3].strip()
     try:
-        return float(s)
+        value = float(s)
     except ValueError as exc:
         raise ValidationError(f"cannot parse angle {text!r}") from exc
+    if not np.isfinite(value):
+        raise ValidationError(f"angle must be finite, got {text!r}")
+    return float(np.deg2rad(value)) if degrees else value
 
 
 def _positive_int(text: str) -> int:
@@ -61,6 +63,28 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _unit_interval(text: str) -> float:
+    """argparse type: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value <= 1.0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
     return value
 
 
@@ -125,17 +149,21 @@ def _read_json(path: Path) -> dict:
 
 
 class _Run:
-    """Collects outputs and writes the manifest at the end of a command."""
+    """Collects outputs and writes the manifest at the end of a command.
+
+    The output directory is made at the first write, so a command that
+    fails before writing leaves nothing behind.
+    """
 
     def __init__(self, args: argparse.Namespace, subcommand: str):
         self.out_dir = Path(getattr(args, "out_dir", ".") or ".")
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.subcommand = subcommand
         self.params = dict(vars(args))
         self.outputs: list[str] = []
         self.started = time.monotonic()
 
     def write_text(self, name: str, text: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         path.write_text(text)
         self.outputs.append(str(path))
@@ -196,27 +224,29 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_interrogation(args: argparse.Namespace) -> int:
     run = _Run(args, "interrogation")
+    # every result is computed before the first file is written, so an
+    # input the library rejects leaves nothing behind
     theta = parse_angle(args.theta)
     nus = np.linspace(args.nu_min, args.nu_max, args.nu_steps)
     curve = robustness_curve(theta, nus)
-    run.write_text("robustness_curve.csv", ser.robustness_curve_csv(curve))
     frag = hexagon(theta, nu=args.nu_min)
-    run.write_json("hexagon.json", ser.hexagon_to_dict(frag))
     report = {"theta": theta, "crossover_nu": curve.crossover_nu,
               "hexagon_equivalence_deviation": frag.equivalence_deviation}
+    # reflectivity sweep with the dark-count/mismatch band; the band
+    # degenerates to the ideal curve when --band is 0
+    pts = []
+    for r in np.linspace(0.0, args.r_max, args.r_steps):
+        ideal = eta_ideal(r)
+        if args.band > 0:
+            branches = [eta_noisy(r, args.band, args.band, args.band, sign)
+                        for sign in (+1, -1)]
+            pts.append((float(r), ideal, min(branches), max(branches)))
+        else:
+            pts.append((float(r), ideal, ideal, ideal))
+    run.write_text("robustness_curve.csv", ser.robustness_curve_csv(curve))
+    run.write_json("hexagon.json", ser.hexagon_to_dict(frag))
     run.write_json("interrogation.json", report)
-    if args.r_steps > 0:
-        # reflectivity sweep with the dark-count/mismatch band; the band
-        # degenerates to the ideal curve when --band is 0
-        pts = []
-        for r in np.linspace(0.0, args.r_max, args.r_steps):
-            ideal = eta_ideal(r)
-            if args.band > 0:
-                branches = [eta_noisy(r, args.band, args.band, args.band, sign)
-                            for sign in (+1, -1)]
-                pts.append((float(r), ideal, min(branches), max(branches)))
-            else:
-                pts.append((float(r), ideal, ideal, ideal))
+    if pts:
         run.write_text("efficiency_curve.csv", ser.efficiency_curve_csv(pts))
     run.finish()
     cross = "none" if curve.crossover_nu is None else f"{curve.crossover_nu:.6f}"
@@ -239,9 +269,11 @@ def cmd_maximize(args: argparse.Namespace) -> int:
     run = _Run(args, "maximize")
     spec = load_inequality(args.inequality)
     result = maximize_pure(spec, args.d, restarts=args.restarts, seed=args.seed)
-    run.write_json("maximization.json", ser.maximization_to_dict(result))
+    sdp = None
     if args.bound and spec.name.startswith("h") and spec.name[1:].isdigit() and spec.n >= 4:
         sdp = sdp_upper_bound(spec.n, min(args.d, spec.n - 1))
+    run.write_json("maximization.json", ser.maximization_to_dict(result))
+    if sdp is not None:
         run.write_json("upper_bound.json", ser.sdp_to_dict(sdp))
         print(f"value={result.value:.9f} upper_bound={sdp.value:.9f}")
     else:
@@ -398,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu-min", type=float, default=0.0)
     p.add_argument("--nu-max", type=float, default=0.2)
     p.add_argument("--nu-steps", type=_positive_int, default=41)
-    p.add_argument("--r-steps", type=int, default=0,
+    p.add_argument("--r-steps", type=_nonnegative_int, default=0,
                    help="also sweep the reflectivity curve with this many points")
-    p.add_argument("--r-max", type=float, default=0.99)
+    p.add_argument("--r-max", type=_unit_interval, default=0.99)
     p.add_argument("--band", type=_nonnegative_float, default=0.005,
                    help="mismatch/dark-count envelope for the reflectivity band")
 

@@ -952,26 +952,101 @@ def calibration_forward(model: CalibrationModel, currents: Sequence[float]) -> n
     return model.theta0 + model.alpha @ drive
 
 
-def _demodulation_init(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Initial (theta0, alpha) for y ~ cos(theta0 + alpha x).
+# Frequencies of the demodulation scan, and the fine block of its factored
+# table: frequency k = 64 q + r of the grid is the coarse step q plus the
+# fine step r.
+_SCAN_POINTS = 4000
+_SCAN_BLOCK = 64
 
-    Scans the demodulated response z(a) = mean(y exp(-i a x)) over positive
-    frequencies up to the sampling limit; the peak sits at the true alpha
-    with phase theta0. Robust to the arccos fold ambiguity and to noise,
-    unlike pointwise phase unwrapping.
+# Stopping tolerances of the Levenberg-Marquardt refinement: MINPACK's
+# defaults (the square root of the double-precision epsilon) for the
+# relative cost decrease and the relative step; and a cap on its steps
+# (a sweep in the benchmark's ranges takes 3-11).
+_LM_FTOL = 1.49012e-8
+_LM_XTOL = 1.49012e-8
+_LM_MAX_ITER = 200
+
+
+def _demodulation_scan(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies a and the demodulated response z(a) = mean(y exp(-i a x)).
+
+    The grid runs over positive frequencies up to the sampling limit. Its
+    frequency a_lo + k step, k = 64 q + r, factors exp(-i a x) into a
+    coarse table over q and a fine table over r, so the whole scan is one
+    small matrix product instead of one exponential per frequency and point.
     """
     x_span = float(x[-1] - x[0])
     dx = float(np.max(np.diff(x))) if x.size > 1 else 1.0
     a_lo = 0.2 * 2.0 * np.pi / max(x_span, 1e-12)
     a_hi = np.pi / max(dx, 1e-12)
-    alphas = np.linspace(a_lo, a_hi, 4000)
-    z = (y[None, :] * np.exp(-1j * alphas[:, None] * x[None, :])).mean(axis=1)
+    alphas = np.linspace(a_lo, a_hi, _SCAN_POINTS)
+    step = (a_hi - a_lo) / (_SCAN_POINTS - 1)
+    coarse_steps = -(-_SCAN_POINTS // _SCAN_BLOCK)
+    coarse = np.exp(-1j * (a_lo + _SCAN_BLOCK * step * np.arange(coarse_steps))[:, None] * x)
+    fine = np.exp(-1j * (step * np.arange(_SCAN_BLOCK))[:, None] * x)
+    z = ((y * coarse) @ fine.T).ravel()[:_SCAN_POINTS] / x.size
+    return alphas, z
+
+
+def _demodulation_init(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Initial (theta0, alpha) for y ~ cos(theta0 + alpha x).
+
+    The peak of the demodulated response sits at the true alpha with phase
+    theta0. Robust to the arccos fold ambiguity and to noise, unlike
+    pointwise phase unwrapping.
+    """
+    alphas, z = _demodulation_scan(x, y)
     k = int(np.argmax(np.abs(z)))
     return float(np.angle(z[k])), float(alphas[k])
 
 
-def _power_model(i: np.ndarray, theta0: float, alpha: float, beta: float) -> np.ndarray:
-    return (1.0 + np.cos(theta0 + alpha * i**2 * (1.0 + beta * i**2))) / 2.0
+def _power_model(x: np.ndarray, theta0: float, alpha: float, beta: float) -> np.ndarray:
+    """Cross power (1 + cos theta) / 2 at squared currents ``x``."""
+    return (1.0 + np.cos(theta0 + alpha * x * (1.0 + beta * x))) / 2.0
+
+
+def _levenberg_marquardt(x: np.ndarray, p: np.ndarray, start: tuple[float, float, float]) -> np.ndarray:
+    """Least-squares (theta0, alpha, beta) of `_power_model` to powers ``p``.
+
+    Levenberg-Marquardt on the 3 x 3 normal equations of the closed-form
+    Jacobian, damped in proportion to their diagonal. Only steps that lower
+    the cost are taken, so the result is never worse than ``start``. It
+    stops when a taken step lowers the cost by at most ``_LM_FTOL`` of it,
+    or when a refused step is at most ``_LM_XTOL`` of the parameters, both
+    measured in the Jacobian's column scale.
+    """
+    params = np.array(start, dtype=float)
+
+    def residual_and_jacobian(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        theta0, alpha, beta = q
+        drive = x * (1.0 + beta * x)
+        phase = theta0 + alpha * drive
+        s = -0.5 * np.sin(phase)
+        jac = np.stack([s, s * drive, s * alpha * x * x], axis=1)
+        return (1.0 + np.cos(phase)) / 2.0 - p, jac
+
+    r, jac = residual_and_jacobian(params)
+    cost = float(r @ r)
+    damping = 1e-3
+    for _ in range(_LM_MAX_ITER):
+        normal = jac.T @ jac
+        scale = np.diag(normal).copy()
+        scale[scale == 0.0] = 1.0
+        step = np.linalg.solve(normal + damping * np.diag(scale), -(jac.T @ r))
+        trial = params + step
+        r_trial, jac_trial = residual_and_jacobian(trial)
+        cost_trial = float(r_trial @ r_trial)
+        if cost_trial < cost:
+            converged = cost - cost_trial <= _LM_FTOL * cost
+            params, r, jac, cost = trial, r_trial, jac_trial, cost_trial
+            damping /= 10.0
+        else:
+            norm = np.sqrt(scale)
+            converged = np.linalg.norm(norm * step) <= _LM_XTOL * np.linalg.norm(norm * params)
+            damping *= 10.0
+        if converged:
+            break
+    return params
 
 
 def _fit_single_heater(currents: np.ndarray, powers: np.ndarray) -> tuple[float, float, float, float]:
@@ -981,8 +1056,6 @@ def _fit_single_heater(currents: np.ndarray, powers: np.ndarray) -> tuple[float,
     beta = 0; a least-squares pass on the power curve then refines all
     three. Coverage is judged from the fitted model, not the raw sweep.
     """
-    from scipy.optimize import curve_fit  # loaded on first use, off the import path
-
     if currents.size < 8:
         raise CalibrationCoverageError(
             f"need at least 8 sweep points per heater, got {currents.size}")
@@ -990,17 +1063,12 @@ def _fit_single_heater(currents: np.ndarray, powers: np.ndarray) -> tuple[float,
     i_s, p_s = currents[order], np.clip(powers[order], 0.0, 1.0)
     x = i_s**2
     theta0_0, alpha_0 = _demodulation_init(x, 2.0 * p_s - 1.0)
-    try:
-        popt, _ = curve_fit(_power_model, i_s, p_s,
-                            p0=[theta0_0, alpha_0, 0.0], maxfev=20000)
-        theta0_f, alpha_f, beta_f = (float(v) for v in popt)
-    except RuntimeError:
-        theta0_f, alpha_f, beta_f = theta0_0, alpha_0, 0.0
+    theta0_f, alpha_f, beta_f = (float(v) for v in _levenberg_marquardt(x, p_s, (theta0_0, alpha_0, 0.0)))
     if alpha_f < 0.0:
         # the power curve cannot tell (theta0, alpha) from (-theta0, -alpha);
         # heating only ever adds phase, so pin the positive branch
         theta0_f, alpha_f = -theta0_f, -alpha_f
-    residual = float(np.sqrt(np.mean((_power_model(i_s, theta0_f, alpha_f, beta_f) - p_s) ** 2)))
+    residual = float(np.sqrt(np.mean((_power_model(x, theta0_f, alpha_f, beta_f) - p_s) ** 2)))
     span = abs(alpha_f) * float(x[-1]) * abs(1.0 + beta_f * float(x[-1]))
     if span < 2.0 * np.pi:
         raise CalibrationCoverageError(
@@ -1017,7 +1085,8 @@ def calibration_fit(
 
     Heaters are characterized in isolation, so the fitted coupling matrix
     is diagonal. Returns the model and the per-heater RMS power residuals.
-    Raises `CalibrationCoverageError` when a sweep is too short or spans
+    Raises `ValidationError` for a non-finite sample, and
+    `CalibrationCoverageError` when a sweep is too short or spans
     less than 2*pi of induced phase (a flat sweep is unidentifiable).
     """
     k = len(sweeps)
@@ -1033,6 +1102,8 @@ def calibration_fit(
         pw = np.asarray(pw, dtype=float)
         if cur.shape != pw.shape:
             raise ValidationError(f"sweep {h}: current and power arrays differ in length")
+        if not (np.all(np.isfinite(cur)) and np.all(np.isfinite(pw))):
+            raise ValidationError(f"sweep {h}: currents and powers must be finite")
         theta0[h], alpha[h, h], beta[h], residuals[h] = _fit_single_heater(cur, pw)
     return CalibrationModel(theta0=theta0, alpha=alpha, beta=beta, heater_columns=cols), residuals
 

@@ -298,3 +298,77 @@ def family_value_and_grad(weights: np.ndarray, family, params_per_state: int, st
         return value, grad.ravel()
 
     return value_and_grad
+
+
+# The calibration fit as it stood before the factored scan and the
+# closed-form-Jacobian Levenberg-Marquardt: a dense 4000-frequency table of
+# exponentials, then scipy's finite-difference `curve_fit` from that start.
+
+def dense_demodulation_init(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Initial (theta0, alpha) for y ~ cos(theta0 + alpha x).
+
+    Scans the demodulated response z(a) = mean(y exp(-i a x)) over positive
+    frequencies up to the sampling limit; the peak sits at the true alpha
+    with phase theta0. Robust to the arccos fold ambiguity and to noise,
+    unlike pointwise phase unwrapping.
+    """
+    x_span = float(x[-1] - x[0])
+    dx = float(np.max(np.diff(x))) if x.size > 1 else 1.0
+    a_lo = 0.2 * 2.0 * np.pi / max(x_span, 1e-12)
+    a_hi = np.pi / max(dx, 1e-12)
+    alphas = np.linspace(a_lo, a_hi, 4000)
+    z = (y[None, :] * np.exp(-1j * alphas[:, None] * x[None, :])).mean(axis=1)
+    k = int(np.argmax(np.abs(z)))
+    return float(np.angle(z[k])), float(alphas[k])
+
+
+def dense_demodulation_peak(x: np.ndarray, y: np.ndarray) -> float:
+    """Largest modulus of the dense scan of `dense_demodulation_init`."""
+    x_span = float(x[-1] - x[0])
+    dx = float(np.max(np.diff(x))) if x.size > 1 else 1.0
+    a_lo = 0.2 * 2.0 * np.pi / max(x_span, 1e-12)
+    a_hi = np.pi / max(dx, 1e-12)
+    alphas = np.linspace(a_lo, a_hi, 4000)
+    z = (y[None, :] * np.exp(-1j * alphas[:, None] * x[None, :])).mean(axis=1)
+    return float(np.max(np.abs(z)))
+
+
+def power_model_of_current(i: np.ndarray, theta0: float, alpha: float, beta: float) -> np.ndarray:
+    return (1.0 + np.cos(theta0 + alpha * i**2 * (1.0 + beta * i**2))) / 2.0
+
+
+def curve_fit_single_heater(currents: np.ndarray, powers: np.ndarray) -> tuple[float, float, float, float]:
+    """Staged fit of one heater's (theta0, alpha, beta) from a power sweep.
+
+    Demodulation in the I^2 coordinate initializes (theta0, alpha) with
+    beta = 0; a least-squares pass on the power curve then refines all
+    three. Coverage is judged from the fitted model, not the raw sweep.
+    """
+    from scipy.optimize import curve_fit  # loaded on first use, off the import path
+
+    from overlapkit.mesh import CalibrationCoverageError
+
+    if currents.size < 8:
+        raise CalibrationCoverageError(
+            f"need at least 8 sweep points per heater, got {currents.size}")
+    order = np.argsort(currents)
+    i_s, p_s = currents[order], np.clip(powers[order], 0.0, 1.0)
+    x = i_s**2
+    theta0_0, alpha_0 = dense_demodulation_init(x, 2.0 * p_s - 1.0)
+    try:
+        popt, _ = curve_fit(power_model_of_current, i_s, p_s,
+                            p0=[theta0_0, alpha_0, 0.0], maxfev=20000)
+        theta0_f, alpha_f, beta_f = (float(v) for v in popt)
+    except RuntimeError:
+        theta0_f, alpha_f, beta_f = theta0_0, alpha_0, 0.0
+    if alpha_f < 0.0:
+        # the power curve cannot tell (theta0, alpha) from (-theta0, -alpha);
+        # heating only ever adds phase, so pin the positive branch
+        theta0_f, alpha_f = -theta0_f, -alpha_f
+    residual = float(np.sqrt(np.mean((power_model_of_current(i_s, theta0_f, alpha_f, beta_f) - p_s) ** 2)))
+    span = abs(alpha_f) * float(x[-1]) * abs(1.0 + beta_f * float(x[-1]))
+    if span < 2.0 * np.pi:
+        raise CalibrationCoverageError(
+            f"sweep induces only {span:.3f} rad of phase; need at least 2*pi "
+            "to identify the response")
+    return float(np.mod(theta0_f, 2.0 * np.pi)), alpha_f, beta_f, residual

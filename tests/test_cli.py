@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,11 @@ class TestParseAngle:
         from overlapkit.states import ValidationError
         with pytest.raises(ValidationError):
             parse_angle("abc")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf rad", "nandeg", "1e400"])
+    def test_non_finite_angle_names_the_value(self, text):
+        with pytest.raises(ValidationError, match=re.escape(repr(text))):
+            parse_angle(text)
 
 
 class TestEvaluate:
@@ -200,12 +206,51 @@ class TestSampleBins:
 
 
 class TestColdStart:
-    def test_import_leaves_scipy_unloaded(self):
+    @staticmethod
+    def fresh_interpreter(code: str, *args: str) -> str:
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+        return out.stdout
+
+    def test_import_leaves_scipy_unloaded(self):
         code = "import overlapkit.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert self.fresh_interpreter(code).strip() == "[]"
+
+    def test_no_subcommand_loads_scipy(self, tmp_path):
+        overlaps = write_json(tmp_path / "overlaps.json",
+                              ser.overlap_set_to_dict(OverlapSet.from_states(pentagon_qubit_set())))
+        states = write_json(tmp_path / "states.json",
+                            {"kind": "pure", "states": [ser.pure_state_to_dict(s) for s in pentagon_qubit_set()]})
+        unitary = write_json(tmp_path / "u.json", ser.unitary_to_dict(haar_random_unitary(4, 5)))
+        config = write_json(tmp_path / "config.json", ser.mesh_config_to_dict(decompose(haar_random_unitary(4, 6))))
+        currents = np.linspace(0.0, 0.6, 40)
+        powers = (1.0 + np.cos(1.2 + 24.0 * currents**2 * (1.0 + 0.05 * currents**2))) / 2.0
+        sweeps = tmp_path / "sweeps.csv"
+        sweeps.write_text("heater,current_a,cross_power\n"
+                          + "".join(f"0,{float(i)!r},{float(p)!r}\n" for i, p in zip(currents, powers)))
+        commands = [
+            ["evaluate", "--input", overlaps, "--inequality", "hmzi"],
+            ["table", "--n-max", "4", "--restarts", "4"],
+            ["interrogation", "--nu-steps", "3", "--r-steps", "3"],
+            ["sample", "--inequality", "h4", "--d", "2", "--num-sets", "50"],
+            ["maximize", "--inequality", "h4", "--d", "2", "--restarts", "4", "--bound"],
+            ["mesh", "simulate", "--config", config],
+            ["mesh", "decompose", "--unitary", unitary],
+            ["mesh", "calibrate", "--sweeps", str(sweeps)],
+            ["mesh", "fidelity", "--target", unitary, "--experimental", unitary],
+            ["mesh", "fidelity", "--study", "--num-unitaries", "3", "--modes", "3"],
+            ["mesh", "counts", "--states", states, "--trials", "100"],
+        ]
+        argvs = [argv + ["--out-dir", str(tmp_path / str(k))] for k, argv in enumerate(commands)]
+        argvs.append(["replay", str(tmp_path / "7" / "manifest-mesh-calibrate.json")])
+        code = ("import json, sys\n"
+                "from overlapkit.cli import main\n"
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n")
+        codes, scipy_modules = json.loads(self.fresh_interpreter(code, json.dumps(argvs)).splitlines()[-1])
+        assert codes == [EXIT_OK] * len(argvs)
+        assert scipy_modules == []
 
     def test_patched_handler_runs_after_parser_is_built(self, tmp_path, monkeypatch, pentagon_overlaps, capsys):
         assert main(["interrogation", "--nu-steps", "3", "--out-dir", str(tmp_path / "a")]) == EXIT_OK
@@ -299,6 +344,54 @@ class TestInterrogationBand:
         assert main(["replay", path]) == EXIT_VALIDATION
         assert "'band'" in capsys.readouterr().err
         assert not (second / "efficiency_curve.csv").exists()
+
+
+class TestInterrogationWritesNothingOnBadInput:
+    @pytest.mark.parametrize("option", [["--r-max", "2"], ["--r-max", "nan"], ["--r-max", "-0.1"],
+                                        ["--r-steps", "-3"]])
+    def test_bad_sweep_option_is_an_argparse_error(self, tmp_path, capsys, option):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["interrogation", "--r-steps", "3", *option, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert option[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-infdeg"])
+    def test_non_finite_theta_writes_nothing(self, tmp_path, capsys, theta):
+        out = tmp_path / "out"
+        assert main(["interrogation", f"--theta={theta}", "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert repr(theta) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_band_the_library_rejects_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["interrogation", "--r-steps", "3", "--band", "0.6", "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_replayed_r_max_out_of_range_writes_nothing(self, tmp_path, capsys):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["interrogation", "--r-steps", "3", "--out-dir", str(first)]) == EXIT_OK
+        manifest = json.loads((first / "manifest-interrogation.json").read_text())
+        manifest["parameters"].update(r_max=2, out_dir=str(second))
+        path = write_json(tmp_path / "m.json", manifest)
+        assert main(["replay", path]) == EXIT_VALIDATION
+        assert "'r_max'" in capsys.readouterr().err
+        assert not second.exists()
+
+    def test_zero_r_steps_means_no_sweep(self, tmp_path, capsys):
+        assert main(["interrogation", "--r-steps", "0", "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "robustness_curve.csv").exists()
+        assert not (tmp_path / "efficiency_curve.csv").exists()
+
+
+class TestMaximize:
+    def test_bound_the_library_rejects_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["maximize", "--inequality", "h4", "--d", "1", "--restarts", "2", "--bound", "--out-dir", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "2 <= d" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSample:
@@ -403,6 +496,19 @@ class TestMeshCommands:
         first = (tmp_path / "fidelity_study.json").read_bytes()
         assert main(["replay", str(tmp_path / "manifest-mesh-fidelity.json")]) == EXIT_OK
         assert (tmp_path / "fidelity_study.json").read_bytes() == first
+
+    @pytest.mark.parametrize("row", ["0,0.05,nan", "0,nan,0.5", "0,inf,0.5"])
+    def test_calibrate_non_finite_sample_exit_code(self, tmp_path, capsys, row):
+        currents = np.linspace(0.0, 0.6, 40)
+        powers = (1.0 + np.cos(1.2 + 24.0 * currents**2)) / 2.0
+        rows = [f"0,{float(i)!r},{float(p)!r}" for i, p in zip(currents, powers)] + [row]
+        sweep_path = tmp_path / "sweeps.csv"
+        sweep_path.write_text("heater,current_a,cross_power\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        rc = main(["mesh", "calibrate", "--sweeps", str(sweep_path), "--out-dir", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_calibrate_from_csv(self, tmp_path, capsys):
         from overlapkit.mesh import CalibrationModel, calibration_forward

@@ -39,6 +39,9 @@ from overlapkit.states import PureState, ValidationError, basis_state, make_rng,
 from _oracles import (
     cell_by_cell_compose,
     chain_amplitudes,
+    curve_fit_single_heater,
+    dense_demodulation_init,
+    dense_demodulation_peak,
     family_value_and_grad,
     five_mode_amplitudes,
     hn_family_gradient,
@@ -564,6 +567,11 @@ class TestCalibration:
         with pytest.raises(CalibrationCoverageError):
             calibration_fit([(currents, powers)])
 
+    def test_zero_current_sweep_coverage_error(self):
+        # every Jacobian column but theta0's vanishes; the fit must still run
+        with pytest.raises(CalibrationCoverageError):
+            calibration_fit([(np.zeros(12), np.linspace(0.1, 0.9, 12))])
+
     def test_too_few_points(self):
         with pytest.raises(CalibrationCoverageError):
             calibration_fit([(np.linspace(0, 0.5, 5), np.linspace(0, 1, 5))])
@@ -579,6 +587,92 @@ class TestCalibration:
         cross = abs(mzi_transfer(theta, 0.0)[1, 0]) ** 2
         assert cross == pytest.approx((1 + np.cos(want)) / 2, abs=1e-9)
         assert cross == pytest.approx(0.5, abs=1e-9)
+
+
+    @pytest.mark.parametrize("column, value", [(0, np.nan), (0, np.inf), (1, np.nan), (1, -np.inf)])
+    def test_non_finite_sample_is_a_validation_error(self, column, value):
+        sweep = [np.array(a) for a in synthetic_sweeps(synthetic_model(1, 3))[0]]
+        sweep[column][5] = value
+        with pytest.raises(ValidationError, match="finite"):
+            calibration_fit([tuple(sweep)])
+
+
+def circular_distance(a: float, b: float) -> float:
+    return abs((a - b + np.pi) % (2 * np.pi) - np.pi)
+
+
+def curve_fit_pairs(sweeps):
+    """(library fit, dense-scan-plus-curve_fit fit) per heater, each as
+    (theta0, alpha, beta, rms residual)."""
+    fitted, residuals = calibration_fit(sweeps)
+    ours = [(fitted.theta0[h], fitted.alpha[h, h], fitted.beta[h], residuals[h]) for h in range(len(sweeps))]
+    return list(zip(ours, [curve_fit_single_heater(cur, pw) for cur, pw in sweeps]))
+
+
+@pytest.fixture(scope="module")
+def noiseless_corpus():
+    return synthetic_sweeps(synthetic_model(100, 21))
+
+
+@pytest.fixture(scope="module")
+def noisy_corpus():
+    return synthetic_sweeps(synthetic_model(30, 22), points=400, i_max=0.9, noise=0.01, seed=23)
+
+
+@pytest.fixture(scope="module")
+def noiseless_pairs(noiseless_corpus):
+    return curve_fit_pairs(noiseless_corpus)
+
+
+@pytest.fixture(scope="module")
+def noisy_pairs(noisy_corpus):
+    return curve_fit_pairs(noisy_corpus)
+
+
+class TestCalibrationAgainstCurveFit:
+    """The factored scan and the closed-form-Jacobian Levenberg-Marquardt
+    against the dense scan and scipy's finite-difference `curve_fit`."""
+
+    def test_noiseless_sweeps_agree(self, noiseless_pairs):
+        for (t0, a, b, _), (t0_o, a_o, b_o, _) in noiseless_pairs:
+            assert circular_distance(t0, t0_o) <= 1e-10
+            assert abs(a - a_o) <= 1e-10
+            assert abs(b / b_o - 1.0) <= 1e-9
+
+    def test_noisy_sweeps_agree(self, noisy_pairs):
+        for (t0, a, b, _), (t0_o, a_o, b_o, _) in noisy_pairs:
+            assert circular_distance(t0, t0_o) <= 1e-6
+            assert abs(a - a_o) <= 1e-6
+            assert abs(b / b_o - 1.0) <= 1e-5
+
+    def test_residual_never_above_curve_fit(self, noiseless_pairs, noisy_pairs):
+        for ours, oracle in noiseless_pairs + noisy_pairs:
+            assert ours[3] <= oracle[3] + 1e-12
+
+    def test_factored_scan_matches_dense_scan(self, noiseless_corpus, noisy_corpus):
+        # a few noisy sweeps only: the dense 4000 x 400 table is slow
+        for cur, pw in noiseless_corpus + noisy_corpus[:5]:
+            x, y = cur**2, 2.0 * np.clip(pw, 0.0, 1.0) - 1.0
+            alphas, z = mesh._demodulation_scan(x, y)
+            assert alphas.size == 4000
+            assert abs(np.max(np.abs(z)) - dense_demodulation_peak(x, y)) <= 1e-12
+            phase, alpha = mesh._demodulation_init(x, y)
+            phase_o, alpha_o = dense_demodulation_init(x, y)
+            assert alpha == alpha_o
+            assert circular_distance(phase, phase_o) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_refinement_is_never_worse_than_its_start(self, seed):
+        rng = make_rng(seed)
+        cur, pw = synthetic_sweeps(synthetic_model(1, seed), points=400, i_max=0.9, noise=0.01, seed=seed)[0]
+        x = cur**2
+
+        def cost(params):
+            return float(np.sum((mesh._power_model(x, *params) - pw) ** 2))
+
+        for _ in range(20):
+            start = (rng.uniform(0.0, 2 * np.pi), rng.uniform(1.0, 60.0), rng.uniform(-0.5, 0.5))
+            assert cost(mesh._levenberg_marquardt(x, pw, start)) <= cost(start)
 
 
 class TestFidelity:

@@ -56,3 +56,28 @@ def test_interrogation_outputs_match_schemas(tmp_path, theta, crosses):
     assert_matches(report, "interrogation")
     assert (report["crossover_nu"] is not None) == crosses
     assert_matches(json.loads((tmp_path / "manifest-interrogation.json").read_text()), "run_manifest")
+
+
+@pytest.mark.parametrize("argv, output, schema, manifest", [
+    (["maximize", "--inequality", "h5", "--d", "3", "--restarts", "4", "--seed", "3", "--bound"],
+     "upper_bound.json", "upper_bound", "manifest-maximize.json"),
+    (["interrogation", "--nu-min", "0.05", "--nu-steps", "5"], "hexagon.json", "hexagon", "manifest-interrogation.json"),
+    (["table", "--n-max", "4", "--restarts", "4"], "threshold_table.json", "threshold_table", "manifest-table.json"),
+])
+def test_remaining_json_outputs_match_schemas(tmp_path, argv, output, schema, manifest):
+    assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert_matches(json.loads((tmp_path / output).read_text()), schema)
+    assert_matches(json.loads((tmp_path / manifest).read_text()), "run_manifest")
+
+
+@pytest.mark.parametrize("schema, record", [
+    ("upper_bound", {"value": 1.0, "x_star": {"dim": 1, "entries": [[1.0, 0.0]]}, "extra": 0}),
+    ("upper_bound", {"value": 1.0, "x_star": {"dim": 1, "entries": [[1.0, 0.0]], "extra": 0}}),
+    ("hexagon", {"theta": 0.0, "nu": 0.0, "equivalence_deviation": 0.0,
+                 "states": [{"dim": 2, "entries": [[0.5, 0.0]] * 4}] * 5}),
+    ("threshold_table", [{"n": 3, "d": 2, "max_value": 1.25, "method": "guess",
+                          "lower_bound": None, "upper_bound": None, "agree": None}]),
+])
+def test_closed_schemas_reject_stray_records(schema, record):
+    schema_obj = json.loads((SCHEMAS / f"{schema}.json").read_text())
+    assert list(jsonschema.Draft7Validator(schema_obj).iter_errors(record))
