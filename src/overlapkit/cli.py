@@ -298,7 +298,7 @@ def cmd_mesh(args: argparse.Namespace) -> int:
         print(f"composed {u.shape[0]}x{u.shape[0]} unitary")
     elif args.action == "decompose":
         u = ser.unitary_from_dict(_read_json(path_of("unitary")))
-        config = decompose(u, atol=args.tol or 1e-10)
+        config = decompose(u, atol=args.tol if args.tol is not None else 1e-10)
         run.write_json("mesh_config.json", ser.mesh_config_to_dict(config))
         print(f"decomposed into {len(config.cells)} cells")
     elif args.action == "calibrate":
@@ -465,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, default=6)
     p.add_argument("--num-unitaries", type=int, default=100)
     p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--tol", type=float, default=None,
-                   help="unitarity tolerance of decompose (default 1e-10)")
+    p.add_argument("--tol", type=_nonnegative_float, default=None,
+                   help="unitarity tolerance of decompose (default 1e-10; smaller values are floored to 1e-10)")
 
     p = sub.add_parser("replay", help="re-run a previous command from its manifest")
     p.add_argument("manifest")

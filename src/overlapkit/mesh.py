@@ -19,13 +19,14 @@ al., Optica 3, 1460 (2016).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .inequalities import InequalitySpec, make_hn
+from .inequalities import InequalitySpec, evaluate_states, make_hn
 from .optimize import _optimal_mean, uniform_pure_ensemble
 from .states import (
     DensityMatrix,
@@ -61,6 +62,7 @@ __all__ = [
     "qutrit_h4_set",
     "ququart_h5_set",
     "ququart_parameters",
+    "five_mode_parameters",
     "h5_ququart_parameters",
     "five_mode_h6_parameters",
     "maximize_pure_family",
@@ -275,8 +277,11 @@ def decompose(u: np.ndarray, atol: float = 1e-10) -> MeshConfig:
     then commutes the residual diagonal through the left factors so the
     result reads as ``diag(output_phases) @ (product of cells)``.
     ``compose(decompose(u))`` reproduces ``u`` exactly (global phase
-    included) up to floating-point rounding.
+    included) up to floating-point rounding. ``u`` must be unitary within
+    ``atol``, a finite non-negative tolerance floored to 1e-10.
     """
+    if not 0.0 <= atol < np.inf:  # also rejects NaN
+        raise ValidationError(f"unitarity tolerance must be finite and non-negative, got {atol!r}")
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("expected a square matrix")
@@ -517,6 +522,26 @@ def _star_ensemble_states(n: int, d: int) -> list[PureState]:
     return [basis_state(d, 0)] + uniform_pure_ensemble(rho, n - 1)
 
 
+def _helmert_star_states(n: int) -> list[PureState]:
+    """Reference state |0> plus n-1 real states averaging to the optimal mean.
+
+    At d = n-1 the optimal mean is ``diag(x, y, ..., y)`` (`optimize._optimal_mean`).
+    The rows of a d x d Helmert matrix H are orthonormal and its first is
+    constant, so the columns ``v_k = (sqrt(x), sqrt(d y) H[1:, k])`` have
+    unit norm (x + (d-1) y = 1) and average to that mean: the exact h_n
+    maximum at d = n-1, with real amplitudes.
+    """
+    d = n - 1
+    lam, _ = _optimal_mean(n, d)
+    helmert = np.zeros((d, d))
+    for j in range(1, d):
+        helmert[j, :j] = 1.0 / math.sqrt(j * (j + 1))
+        helmert[j, j] = -j / math.sqrt(j * (j + 1))
+    cols = math.sqrt(d * lam[1]) * helmert[1:]
+    return [basis_state(d, 0)] + [
+        PureState(np.concatenate([[math.sqrt(lam[0])], cols[:, k]]).astype(np.complex128)) for k in range(d)]
+
+
 def ququart_h5_set() -> list[PureState]:
     """Five ququarts reaching h_5 = 11/8 = 1.375, the d = 4 maximum."""
     return _star_ensemble_states(5, 4)
@@ -543,13 +568,49 @@ def ququart_parameters(state: PureState) -> np.ndarray:
     return np.array([t1, t2, t3, p1, p2, p3])
 
 
+def five_mode_parameters(state: PureState) -> np.ndarray:
+    """Invert `prepare_5mode`: angles (t1, t2, t3, t4, p1, p2, p3) for a state.
+
+    The global phase is fixed so the larger of the mode-0 and mode-1
+    amplitudes is real, keeping its sign if it is real already; the family
+    then needs the other one real as well, else the state is outside it.
+    """
+    v = np.asarray(state.amplitudes)
+    if v.size != 5:
+        raise ValidationError("expected a 5-dimensional state")
+    ref = v[0] if abs(v[0]) >= abs(v[1]) else v[1]
+    v = v * np.exp(-1j * (np.angle(ref) % np.pi))
+    if abs(v[0].imag) + abs(v[1].imag) > 1e-12:
+        raise ValidationError("state is outside the five-mode family: modes 0 and 1 differ in phase")
+    a0, a1 = float(v[0].real), float(v[1].real)
+    r01 = math.hypot(a0, a1)
+    t1 = math.atan2(math.hypot(r01, abs(v[2])), math.hypot(abs(v[3]), abs(v[4])))
+    t2 = math.atan2(abs(v[2]), r01)
+    t3 = math.atan2(abs(v[3]), abs(v[4]))
+    t4 = math.atan2(a0, a1)
+    p1, p2, p3 = (float(np.angle(z)) if abs(z) > 0 else 0.0 for z in v[2:])
+    return np.array([t1, t2, t3, t4, p1, p2, p3])
+
+
 def h5_ququart_parameters() -> list[np.ndarray]:
     """Circuit angles preparing the exact h_5-maximizing ququart tuple."""
     return [ququart_parameters(s) for s in ququart_h5_set()]
 
 
-# Forward-difference step of the family Jacobian; scipy's L-BFGS-B default eps.
+# Forward-difference step of the family Jacobian: the square root of the
+# machine epsilon, rounded, so the difference error and the rounding error
+# are of the same size.
 _FAMILY_STEP = 1e-8
+
+# Stop rules of the family ascent, the defaults of L-BFGS-B: a relative gain
+# of at most factr * eps with factr = 1e7, a gradient max-norm of at most
+# pgtol, or a step cap; and its memory of 10 curvature pairs.
+_LBFGS_MEMORY = 10
+_LBFGS_GAIN_TOL = 2.22e-9
+_LBFGS_GRAD_TOL = 1e-5
+_LBFGS_MAX_STEPS = 15_000
+_ARMIJO = 1e-4  # sufficient-increase constant of the backtracking search
+_MAX_BACKTRACKS = 20  # trial steps per search, as L-BFGS-B's maxls: the last is 2**-19 of the unit step
 
 
 def _family_value_and_grad(
@@ -587,6 +648,57 @@ def _family_value_and_grad(
     return value_and_grad
 
 
+def _lbfgs_ascent(
+    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Limited-memory BFGS ascent (Liu & Nocedal, Math. Prog. 45, 1989).
+
+    The direction is the two-loop product of the last `_LBFGS_MEMORY`
+    curvature pairs with the gradient (the first step has length 1 along the
+    gradient); a pair whose ``s . y`` is not positive is skipped, so the
+    inverse-Hessian model stays positive definite. Each step backtracks by
+    halving from the unit step until the Armijo rule holds, so the value
+    never falls; if no trial passes, the ascent stops where it is. Returns
+    the last point and its value.
+    """
+    x = np.array(x0, dtype=float)
+    value, grad = value_and_grad(x)
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_LBFGS_MEMORY)
+    for _ in range(_LBFGS_MAX_STEPS):
+        if np.max(np.abs(grad)) <= _LBFGS_GRAD_TOL:
+            break
+        d = grad.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d -= alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            d *= (s @ y) / (y @ y)
+        else:
+            d /= np.linalg.norm(d)
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d += (alpha - rho * (y @ d)) * s
+        slope, t = grad @ d, 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            new_value, new_grad = value_and_grad(x + t * d)
+            if new_value >= value + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        s, y = t * d, grad - new_grad  # y is the change of the gradient of -f
+        sy = s @ y
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+        gain = new_value - value
+        x, value, grad = x + s, new_value, new_grad
+        if gain <= _LBFGS_GAIN_TOL * max(abs(value), abs(value - gain), 1.0):
+            break
+    return x, value
+
+
 def maximize_pure_family(
     spec: InequalitySpec,
     family: Callable[[np.ndarray], PureState],
@@ -596,48 +708,37 @@ def maximize_pure_family(
 ) -> tuple[np.ndarray, float]:
     """Maximize an inequality functional within a parameterized state family.
 
-    Multi-start L-BFGS-B ascent over the stacked angle vector (one row of
-    ``params_per_state`` angles per state), fed value and gradient by one
-    call of `_family_value_and_grad`: the functional's gradient in the
-    amplitudes is exact, chained through a forward-difference Jacobian of
-    the family, so each evaluation makes ``n (params_per_state + 1)``
-    family calls (48 for six five-mode states). Returns the best parameter
-    matrix and its functional value; deterministic for a fixed seed.
+    Multi-start L-BFGS ascent (`_lbfgs_ascent`) over the stacked angle
+    vector (one row of ``params_per_state`` angles per state), fed value and
+    gradient by one call of `_family_value_and_grad`: the functional's
+    gradient in the amplitudes is exact, chained through a forward-difference
+    Jacobian of the family, so each evaluation makes
+    ``n (params_per_state + 1)`` family calls (48 for six five-mode states).
+    Returns the best parameter matrix and its functional value;
+    deterministic for a fixed seed.
     """
-    from scipy.optimize import minimize  # loaded on first use, off the import path
-
     rng = make_rng(seed)
     n = spec.n
     value_and_grad = _family_value_and_grad(spec, family, params_per_state)
-
-    def negated(flat: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = value_and_grad(flat)
-        return -value, -grad
-
     best_val, best_x = -np.inf, None
     for _ in range(restarts):
         x0 = rng.uniform(0.0, 2.0 * np.pi, n * params_per_state)
-        res = minimize(negated, x0, jac=True, method="L-BFGS-B")
-        if -res.fun > best_val:
-            best_val, best_x = -float(res.fun), res.x.copy()
+        x, value = _lbfgs_ascent(value_and_grad, x0)
+        if value > best_val:
+            best_val, best_x = value, x
     return best_x.reshape(n, params_per_state), best_val
 
 
-@lru_cache(maxsize=4)
-def five_mode_h6_parameters(restarts: int = 20, seed: int = 7) -> tuple[np.ndarray, float]:
-    """Angles of six restricted five-mode states maximizing h_6.
+def five_mode_h6_parameters() -> tuple[np.ndarray, float]:
+    """Angles of six restricted five-mode states maximizing h_6, and its value.
 
-    Recomputed by restricted-family ascent rather than transcribed, since
-    the family is expressive enough to reach the d = 5 maximum 1.400.
+    The states are `_helmert_star_states(6)`: real, so they lie in the
+    `prepare_5mode` family, and `five_mode_parameters` inverts each one.
+    The value is h_6 of the states the angles prepare, the d = 5 maximum
+    1.4 up to rounding.
     """
-    params, value = maximize_pure_family(
-        make_hn(6),
-        lambda p: prepare_5mode(*p),
-        params_per_state=7,
-        restarts=restarts,
-        seed=seed,
-    )
-    params.setflags(write=False)
+    params = np.array([five_mode_parameters(s) for s in _helmert_star_states(6)])
+    value = evaluate_states(make_hn(6), [prepare_5mode(*p) for p in params])
     return params, value
 
 

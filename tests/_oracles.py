@@ -372,3 +372,29 @@ def curve_fit_single_heater(currents: np.ndarray, powers: np.ndarray) -> tuple[f
             f"sweep induces only {span:.3f} rad of phase; need at least 2*pi "
             "to identify the response")
     return float(np.mod(theta0_f, 2.0 * np.pi)), alpha_f, beta_f, residual
+
+
+# The family fit as it stood before the in-house L-BFGS ascent: multi-start
+# scipy L-BFGS-B, fed by the one-probe-at-a-time gradient above (bitwise the
+# library's), at scipy's default stop rules.
+
+def scipy_family_fit(spec, family, params_per_state: int, restarts: int = 20, seed: int = 0):
+    from scipy.optimize import minimize  # loaded on first use, off the import path
+
+    from overlapkit.states import make_rng
+
+    rng = make_rng(seed)
+    n = spec.n
+    value_and_grad = family_value_and_grad(spec.weight_matrix(), family, params_per_state)
+
+    def negated(flat: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = value_and_grad(flat)
+        return -value, -grad
+
+    best_val, best_x = -np.inf, None
+    for _ in range(restarts):
+        x0 = rng.uniform(0.0, 2.0 * np.pi, n * params_per_state)
+        res = minimize(negated, x0, jac=True, method="L-BFGS-B")
+        if -res.fun > best_val:
+            best_val, best_x = -float(res.fun), res.x.copy()
+    return best_x.reshape(n, params_per_state), best_val

@@ -217,7 +217,9 @@ class TestColdStart:
         code = "import overlapkit.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         assert self.fresh_interpreter(code).strip() == "[]"
 
-    def test_no_subcommand_loads_scipy(self, tmp_path):
+    @staticmethod
+    def every_subcommand(tmp_path) -> list[list[str]]:
+        """One argv per subcommand and mesh action, and a replay, on small inputs."""
         overlaps = write_json(tmp_path / "overlaps.json",
                               ser.overlap_set_to_dict(OverlapSet.from_states(pentagon_qubit_set())))
         states = write_json(tmp_path / "states.json",
@@ -244,6 +246,10 @@ class TestColdStart:
         ]
         argvs = [argv + ["--out-dir", str(tmp_path / str(k))] for k, argv in enumerate(commands)]
         argvs.append(["replay", str(tmp_path / "7" / "manifest-mesh-calibrate.json")])
+        return argvs
+
+    def test_no_subcommand_loads_scipy(self, tmp_path):
+        argvs = self.every_subcommand(tmp_path)
         code = ("import json, sys\n"
                 "from overlapkit.cli import main\n"
                 "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
@@ -251,6 +257,27 @@ class TestColdStart:
         codes, scipy_modules = json.loads(self.fresh_interpreter(code, json.dumps(argvs)).splitlines()[-1])
         assert codes == [EXIT_OK] * len(argvs)
         assert scipy_modules == []
+
+    def test_everything_runs_with_scipy_blocked(self, tmp_path):
+        argvs = self.every_subcommand(tmp_path)
+        code = ("import importlib, json, pkgutil, sys\n"
+                "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+                "import overlapkit\n"
+                "modules = sorted(m.name for m in pkgutil.walk_packages(overlapkit.__path__, 'overlapkit.'))\n"
+                "for name in modules:\n"
+                "    importlib.import_module(name)\n"
+                "from overlapkit.cli import main\n"
+                "from overlapkit.inequalities import make_hn\n"
+                "from overlapkit.mesh import five_mode_h6_parameters, maximize_pure_family, prepare_5mode\n"
+                "_, fit = maximize_pure_family(make_hn(6), lambda p: prepare_5mode(*p), 7, restarts=1, seed=7)\n"
+                "_, closed = five_mode_h6_parameters()\n"
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                "print(json.dumps([modules, fit, closed, codes]))\n")
+        modules, fit, closed, codes = json.loads(self.fresh_interpreter(code, json.dumps(argvs)).splitlines()[-1])
+        assert {"overlapkit.cli", "overlapkit.mesh", "overlapkit.optimize", "overlapkit.serialize"} <= set(modules)
+        assert fit == pytest.approx(1.4, abs=1e-6)
+        assert closed == pytest.approx(1.4, abs=1e-12)
+        assert codes == [EXIT_OK] * len(argvs)
 
     def test_patched_handler_runs_after_parser_is_built(self, tmp_path, monkeypatch, pentagon_overlaps, capsys):
         assert main(["interrogation", "--nu-steps", "3", "--out-dir", str(tmp_path / "a")]) == EXIT_OK
@@ -453,6 +480,40 @@ class TestMeshCommands:
         rc = main(["mesh", "decompose", "--unitary", upath, "--tol", "1e-9", "--out-dir", str(tmp_path)])
         assert rc == EXIT_OK
         assert json.loads((tmp_path / "manifest-mesh-decompose.json").read_text())["parameters"]["tol"] == 1e-9
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "x"])
+    def test_decompose_bad_tol_is_an_argparse_error(self, tmp_path, capsys, tol):
+        upath = write_json(tmp_path / "u.json", ser.unitary_to_dict(haar_random_unitary(5, 2)))
+        with pytest.raises(SystemExit) as exc:
+            main(["mesh", "decompose", "--unitary", upath, "--tol", tol, "--out-dir", str(tmp_path)])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "--tol" in capsys.readouterr().err
+        assert not (tmp_path / "mesh_config.json").exists()
+
+    def test_decompose_tol_below_floor_matches_default(self, tmp_path, capsys):
+        upath = write_json(tmp_path / "u.json", ser.unitary_to_dict(haar_random_unitary(5, 2)))
+        outputs = []
+        for k, extra in enumerate([[], ["--tol", "0"], ["--tol", "1e-12"]]):
+            out = tmp_path / str(k)
+            assert main(["mesh", "decompose", "--unitary", upath, *extra, "--out-dir", str(out)]) == EXIT_OK
+            outputs.append((out / "mesh_config.json").read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert json.loads((tmp_path / "1" / "manifest-mesh-decompose.json").read_text())["parameters"]["tol"] == 0.0
+
+    @pytest.mark.parametrize("atol", [np.nan, -1.0, np.inf])
+    def test_decompose_rejects_bad_atol(self, atol):
+        with pytest.raises(ValidationError, match="unitarity tolerance must be finite and non-negative"):
+            decompose(haar_random_unitary(3, 1), atol=atol)
+
+    def test_decompose_manifest_with_null_tol_replays(self, tmp_path, capsys):
+        upath = write_json(tmp_path / "u.json", ser.unitary_to_dict(haar_random_unitary(4, 7)))
+        assert main(["mesh", "decompose", "--unitary", upath, "--out-dir", str(tmp_path)]) == EXIT_OK
+        manifest_path = tmp_path / "manifest-mesh-decompose.json"
+        assert json.loads(manifest_path.read_text())["parameters"]["tol"] is None
+        first = (tmp_path / "mesh_config.json").read_bytes()
+        (tmp_path / "mesh_config.json").unlink()
+        assert main(["replay", str(manifest_path)]) == EXIT_OK
+        assert (tmp_path / "mesh_config.json").read_bytes() == first
 
     def test_simulate_without_config_exit_code(self, tmp_path, capsys):
         rc = main(["mesh", "simulate", "--out-dir", str(tmp_path)])

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from overlapkit.mesh import (
     estimate_inequality_via_counts,
     fidelity,
     five_mode_h6_parameters,
+    five_mode_parameters,
     h5_ququart_parameters,
     haar_random_unitary,
     hyperspherical_angles,
@@ -34,6 +37,7 @@ from overlapkit.mesh import (
     ququart_parameters,
     state_from_hyperspherical,
 )
+from overlapkit.optimize import thresholds_for
 from overlapkit.states import PureState, ValidationError, basis_state, make_rng, overlap
 
 from _oracles import (
@@ -47,8 +51,10 @@ from _oracles import (
     hn_family_gradient,
     hn_value_of_amplitudes,
     ordered_functional,
+    quadratic_optimum,
     ququart_amplitudes,
     qutrit_amplitudes,
+    scipy_family_fit,
 )
 
 SEEDS = [0, 1, 2]
@@ -266,6 +272,40 @@ class TestPreparationCircuits:
         assert value == pytest.approx(1.400, abs=1e-3)
         states = [prepare_5mode(*p) for p in params]
         assert evaluate_states(make_hn(6), states) == pytest.approx(value, abs=1e-9)
+        assert params.shape == (6, 7)
+        assert abs(value - dict(thresholds_for(6))[5]) <= 1e-12  # closed form, not a fit
+
+    def test_five_mode_parameter_inverse_rebuilds_helmert_states(self):
+        states = mesh._helmert_star_states(6)
+        assert states[0].amplitudes[0] == 1.0
+        for s, p in zip(states, five_mode_h6_parameters()[0]):
+            assert np.max(np.abs(prepare_5mode(*p).amplitudes - s.amplitudes)) <= 1e-14
+            assert np.array_equal(s.amplitudes.imag, np.zeros(5))
+
+    def test_helmert_states_average_to_optimal_mean(self):
+        amps = np.array([s.amplitudes.real for s in mesh._helmert_star_states(6)[1:]])
+        assert np.allclose(amps.T @ amps / 5.0, np.diag([9, 4, 4, 4, 4]) / 25.0, atol=1e-15)
+        assert hn_value_of_amplitudes(np.array([s.amplitudes for s in mesh._helmert_star_states(6)])) \
+            == pytest.approx(1.4, abs=1e-14)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_five_mode_parameter_inverse_on_random_family_states(self, seed):
+        rng = make_rng(seed)
+        for _ in range(200):
+            s = prepare_5mode(*rng.uniform(-2 * np.pi, 2 * np.pi, 7))
+            rebuilt = prepare_5mode(*five_mode_parameters(s))
+            assert overlap(rebuilt, s) == pytest.approx(1.0, abs=1e-14)
+
+    def test_five_mode_parameter_inverse_takes_phase_from_larger_amplitude(self):
+        # a rounding-sized mode-0 amplitude of any phase does not decide the global phase
+        s = PureState(np.array([1e-17j, -0.6, 0.0, 0.8j, 0.0]))
+        assert np.max(np.abs(prepare_5mode(*five_mode_parameters(s)).amplitudes - s.amplitudes)) <= 1e-15
+
+    def test_five_mode_parameter_inverse_rejects_states_outside_family(self):
+        with pytest.raises(ValidationError, match="outside the five-mode family"):
+            five_mode_parameters(PureState(np.array([1.0, 1j, 0.0, 0.0, 0.0]) / np.sqrt(2.0)))
+        with pytest.raises(ValidationError, match="5-dimensional"):
+            five_mode_parameters(basis_state(4, 0))
 
     def test_five_mode_phase_restriction(self):
         # modes 0 and 1 always share a phase: their amplitude ratio is real
@@ -302,6 +342,86 @@ class TestFamilyFit:
         assert len(calls) <= 5000
         assert value == pytest.approx(1.4, abs=1e-6)
         assert evaluate_states(make_hn(6), [prepare_5mode(*q) for q in params]) == pytest.approx(value, abs=1e-12)
+
+
+
+# (n, family, params per state, seed): the fits the scipy oracle is run on
+ORACLE_FITS = ([(6, prepare_5mode, 7, seed) for seed in (7, 8, 9, 10)]
+               + [(4, prepare_qutrit, 4, seed) for seed in SEEDS]
+               + [(5, prepare_ququart, 6, seed) for seed in SEEDS])
+
+
+@functools.cache
+def counted_fit(fit, n, prepare, p, seed):
+    """One-restart fit by `fit` and the family calls it made."""
+    calls = []
+
+    def family(q):
+        calls.append(1)
+        return prepare(*q)
+
+    params, value = fit(make_hn(n), family, p, restarts=1, seed=seed)
+    return params, value, len(calls)
+
+
+class TestLbfgsAscent:
+    """The in-house L-BFGS family fit against the scipy L-BFGS-B route it
+    replaces (`_oracles.scipy_family_fit`)."""
+
+    @pytest.mark.parametrize("n, prepare, p, seed", ORACLE_FITS)
+    def test_value_at_least_scipy_oracle(self, n, prepare, p, seed):
+        params, value, _ = counted_fit(mesh.maximize_pure_family, n, prepare, p, seed)
+        _, want, _ = counted_fit(scipy_family_fit, n, prepare, p, seed)
+        assert value >= want - 1e-8
+        assert value >= quadratic_optimum(n, n - 1) - 1e-8
+        assert abs(value - hn_value_of_amplitudes(np.array([prepare(*q).amplitudes for q in params]))) <= 1e-12
+
+    def test_five_mode_fits_make_no_more_family_calls_than_scipy(self):
+        seeds = (7, 8, 9, 10)
+        got = sum(counted_fit(mesh.maximize_pure_family, 6, prepare_5mode, 7, s)[2] for s in seeds)
+        want = sum(counted_fit(scipy_family_fit, 6, prepare_5mode, 7, s)[2] for s in seeds)
+        assert want == 13_488
+        assert got <= want
+
+    def test_concave_quadratic_reaches_its_maximizer(self):
+        rng = make_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        a = (q * np.geomspace(1.0, 100.0, 12)) @ q.T
+        center = rng.standard_normal(12)
+        x, value = mesh._lbfgs_ascent(lambda x: (-0.5 * (x - center) @ a @ (x - center), a @ (center - x)),
+                                      np.zeros(12))
+        # stops on the relative gain (2.22e-9 of max(|f|, 1)), at most 1e-8 below the maximum 0
+        assert -1e-8 <= value <= 0.0
+        assert np.max(np.abs(x - center)) <= 1e-4
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_climbs_out_of_a_convex_region(self, seed):
+        # sum(cos x) starts near its minimum at pi, where pairs with s . y <= 0 arise
+        x0 = np.pi + make_rng(seed).uniform(-0.3, 0.3, 8)
+        x, value = mesh._lbfgs_ascent(lambda x: (float(np.sum(np.cos(x))), -np.sin(x)), x0)
+        assert value == pytest.approx(8.0, abs=1e-8)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_negated_rosenbrock_reaches_its_maximizer(self, seed):
+        def value_and_grad(x):
+            r = x[1:] - x[:-1] ** 2
+            grad = np.zeros_like(x)
+            grad[:-1] = 400.0 * x[:-1] * r + 2.0 * (1.0 - x[:-1])
+            grad[1:] -= 200.0 * r
+            return -float(np.sum(100.0 * r**2 + (1.0 - x[:-1]) ** 2)), grad
+
+        x, value = mesh._lbfgs_ascent(value_and_grad, make_rng(seed).uniform(-1.5, 1.5, 6))
+        assert np.max(np.abs(x - 1.0)) <= 1e-4 and value >= -1e-8
+
+    def test_stationary_start_takes_no_step(self):
+        calls = []
+
+        def value_and_grad(x):
+            calls.append(1)
+            return 1.0, np.zeros_like(x)
+
+        x, value = mesh._lbfgs_ascent(value_and_grad, np.ones(3))
+        assert calls == [1] and value == 1.0 and np.array_equal(x, np.ones(3))
 
 
 CIRCUITS = [(prepare_qutrit, qutrit_amplitudes, 4), (prepare_ququart, ququart_amplitudes, 6),

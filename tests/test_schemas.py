@@ -3,11 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from overlapkit import serialize as ser
 from overlapkit.cli import EXIT_OK, main
-from overlapkit.mesh import decompose, haar_random_unitary
+from overlapkit.mesh import decompose, haar_random_unitary, pentagon_qubit_set
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -70,7 +71,53 @@ def test_remaining_json_outputs_match_schemas(tmp_path, argv, output, schema, ma
     assert_matches(json.loads((tmp_path / manifest).read_text()), "run_manifest")
 
 
+@pytest.fixture
+def mesh_inputs(tmp_path):
+    u = ser.unitary_to_dict(haar_random_unitary(4, 5))
+    (tmp_path / "u.json").write_text(ser.dumps(u))
+    states = {"kind": "pure", "states": [ser.pure_state_to_dict(s) for s in pentagon_qubit_set()]}
+    (tmp_path / "states.json").write_text(ser.dumps(states))
+    currents = np.linspace(0.0, 0.6, 40)
+    rows = [f"{h},{float(i)!r},{float(p)!r}" for h, theta0 in enumerate((1.2, 4.0)) for i, p in
+            zip(currents, (1.0 + np.cos(theta0 + 24.0 * currents**2 * (1.0 + 0.05 * currents**2))) / 2.0)]
+    (tmp_path / "sweeps.csv").write_text("\n".join(["heater,current_a,cross_power", *rows]) + "\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, output, schema, manifest", [
+    (["mesh", "calibrate", "--sweeps", "sweeps.csv"], "calibration_residuals.json", "calibration_residuals",
+     "manifest-mesh-calibrate.json"),
+    (["mesh", "fidelity", "--target", "u.json", "--experimental", "u.json"], "fidelity.json", "fidelity",
+     "manifest-mesh-fidelity.json"),
+    (["mesh", "fidelity", "--study", "--num-unitaries", "3", "--modes", "3"], "fidelity_study.json",
+     "fidelity_study", "manifest-mesh-fidelity.json"),
+    (["mesh", "counts", "--states", "states.json", "--trials", "200", "--seed", "4"], "count_estimate.json",
+     "count_estimate", "manifest-mesh-counts.json"),
+])
+def test_mesh_json_outputs_match_schemas(mesh_inputs, monkeypatch, argv, output, schema, manifest):
+    monkeypatch.chdir(mesh_inputs)
+    out = mesh_inputs / "out"
+    assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
+    record = json.loads((out / output).read_text())
+    assert_matches(record, schema)
+    assert_matches(json.loads((out / manifest).read_text()), "run_manifest")
+    if schema == "count_estimate":
+        assert len(record["records"]) == 10  # every edge of the pentagon
+        for rec in record["records"].values():
+            assert_matches(rec, "count_record")
+
+
+COUNT_RECORD = {"counts": [3, 1], "total_trials": 4, "estimated_probability": [0.75, 0.25], "sigma_c": [0.4, 0.25]}
+
+
 @pytest.mark.parametrize("schema, record", [
+    ("calibration_residuals", [0.1, "0.2"]),
+    ("calibration_residuals", {"0": 0.1}),
+    ("fidelity", {"fidelity": 0.9, "extra": 0}),
+    ("fidelity_study", {"mean": 0.9, "std": 0.1, "sigma_rad": 0.1, "samples": [0.9], "extra": 0}),
+    ("count_estimate", {"value": 1.0, "sigma": 0.1, "records": {"0,1": COUNT_RECORD}, "extra": 0}),
+    ("count_estimate", {"value": 1.0, "sigma": 0.1, "records": {"0,1": {**COUNT_RECORD, "extra": 0}}}),
+    ("count_estimate", {"value": 1.0, "sigma": 0.1, "records": {"0-1": COUNT_RECORD}}),
     ("upper_bound", {"value": 1.0, "x_star": {"dim": 1, "entries": [[1.0, 0.0]]}, "extra": 0}),
     ("upper_bound", {"value": 1.0, "x_star": {"dim": 1, "entries": [[1.0, 0.0]], "extra": 0}}),
     ("hexagon", {"theta": 0.0, "nu": 0.0, "equivalence_deviation": 0.0,
