@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import serialize as ser
-from .inequalities import InequalitySpec, OverlapSet, classify, evaluate, evaluate_states, make_h3_robust, make_h_mzi, make_hn
+from .inequalities import InequalitySpec, OverlapSet, classify, evaluate, make_h3_robust, make_h_mzi, make_hn
 from .interrogation import eta_ideal, eta_noisy, hexagon, robustness_curve
 from .mesh import (
     calibration_fit,

@@ -56,15 +56,25 @@ def _thread_count() -> int:
         return 1
 
 
+# An h_n ascent stops once a restart comes this close to the closed-form
+# optimum. The float objective of an exact maximizer sits a few ulps
+# (~1e-15) from `_optimal_mean`, so the gap is reachable, and it stays
+# well below the 1e-9 to which every maximum in this package is checked.
+_CERTIFIED_GAP = 1e-12
+
+
 @dataclass(frozen=True)
 class MaximizationResult:
     """Best local maximum found over pure-state tuples.
 
-    ``converged`` says whether the best restart was stationary when the
-    ascent stopped. The diagnostics describe the whole run: ``iterations``
-    counts ascent steps, ``restarts_converged`` the stationary restarts,
+    ``converged`` says whether the best restart was stationary, or
+    certified, when the ascent stopped; a restart is certified when its
+    value comes within ``_CERTIFIED_GAP`` of the known h_n optimum. The
+    diagnostics describe the whole run: ``iterations`` counts ascent
+    steps, ``restarts_converged`` the stationary or certified restarts,
     and ``hit_max_iter`` is True when the ascent stopped after ``max_iter``
-    steps with restarts still moving. They are not serialized.
+    steps with restarts still moving and none certified. They are not
+    serialized.
     """
 
     value: float
@@ -128,6 +138,15 @@ def maximize_pure(
     path as in a batch of all restarts. Deterministic for a fixed seed;
     ties between restarts go to the first (seed-ordered) tuple.
 
+    When the spec's weights are those of h_n and d >= 2, the optimum is
+    known in closed form (`_optimal_mean`, as `thresholds_for` gives it),
+    and the ascent ends after the first step at which a restart's value
+    comes within ``_CERTIFIED_GAP`` of it: no restart can do better than
+    the bound, so further steps only polish a degenerate maximizer set.
+    The spec is matched by its weights, not its name. Every other
+    functional, and d = 1, runs until each restart is stationary or
+    ``max_iter`` steps are spent.
+
     The returned value is recomputed through `evaluate_states`, so it is a
     certified lower bound on the true maximum.
     """
@@ -135,9 +154,16 @@ def maximize_pure(
         raise ValidationError("dimension must be at least 1")
     if restarts < 1:
         raise ValidationError("need at least one restart")
+    if max_iter < 0:
+        raise ValidationError("max_iter must be non-negative")
+    if not grad_tol >= 0:  # also rejects NaN
+        raise ValidationError("grad_tol must be a non-negative number")
     rng = make_rng(seed)
     n = spec.n
     w = spec.weight_matrix()
+    # only an h_n run (matched by weights) has a known optimum to stop at
+    hn = d >= 2 and n >= 3 and np.array_equal(w, make_hn(n).weight_matrix())
+    stop_at = _optimal_mean(n, min(d, n - 1))[1] - _CERTIFIED_GAP if hn else np.inf
     # full per-restart arrays; a restart's row is final once it retires
     psi_all = haar_random_pure_batch(restarts, n, d, rng)
     step_all = np.full(restarts, 0.25)
@@ -186,15 +212,18 @@ def maximize_pure(
         step *= np.where(accept, 1.3, 0.5)
         np.minimum(step, 10.0, out=step)
         iterations += 1
+        if f.max() >= stop_at:
+            break
 
-    # restarts still live when max_iter ran out keep their last state
+    # restarts still live when the ascent stopped keep their last state
     psi_all[live], f_all[live], step_all[live] = psi, f, step
     best = int(np.argmax(f_all))
     states = tuple(PureState(psi_all[best, i] / np.linalg.norm(psi_all[best, i])) for i in range(n))
     value = evaluate_states(spec, states)
     # a step driven to the float floor means the line search cannot improve
     # a stationary point at working precision
-    stationary = grad_ok_all | (step_all <= 1e-15)
+    certified = f_all >= stop_at
+    stationary = grad_ok_all | (step_all <= 1e-15) | certified
     return MaximizationResult(
         value=value,
         states=states,
@@ -202,7 +231,7 @@ def maximize_pure(
         converged=bool(stationary[best]),
         iterations=iterations,
         restarts_converged=int(np.sum(stationary)),
-        hit_max_iter=bool(live.size),
+        hit_max_iter=bool(live.size) and not certified.any(),
     )
 
 
@@ -247,12 +276,16 @@ def _optimal_mean(n: int, d: int) -> tuple[np.ndarray, float]:
     maximizer over d x d density matrices is the simplex projection of
     ``(1/(n-1), 0, ..., 0)``: ``(x, (1-x)/(d-1), ...)`` with
     ``x = (n+d-2)/(d(n-1))``. Valid for 2 <= d <= n-1.
+
+    Substituting that spectrum, the value simplifies to
+    ``(d - 1 + (n-1)(d+3-n)) / (2d)``: an integer over an integer, so one
+    division gives it correctly rounded at every n (summing the terms in
+    floats drifts by up to 1.6e-12 near n = 4000, where they reach n/2).
     """
     x = (n + d - 2) / (d * (n - 1))
     lam = np.full(d, (1.0 - x) / (d - 1))
     lam[0] = x
-    value = -((n - 1) ** 2) / 2.0 * float(np.sum(lam**2)) + (n - 1) * x + (n - 1) / 2.0
-    return lam, value
+    return lam, (d - 1 + (n - 1) * (d + 3 - n)) / (2 * d)
 
 
 def sdp_upper_bound(n: int, d: int) -> SdpResult:
@@ -297,6 +330,8 @@ def haar_experiment(
         raise ValidationError("need at least one sample set")
     if d < 1:
         raise ValidationError("dimension must be at least 1")
+    if chunk_size < 1:
+        raise ValidationError("chunk_size must be at least 1")
     w = spec.weight_matrix()
     counts = [chunk_size] * (num_sets // chunk_size)
     if num_sets % chunk_size:

@@ -6,6 +6,8 @@ closed forms, brute force, or exhaustive search. Keep it that way.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 # Published maxima of the h_n functionals by (n, d). Six cells are known
@@ -48,6 +50,25 @@ def quadratic_optimum(n: int, d: int) -> float:
     x = (n + d - 2) / (d * (n - 1))
     tr2 = x**2 + (1 - x) ** 2 / (d - 1) if d > 1 else 1.0
     return -((n - 1) ** 2 / 2.0) * tr2 + (n - 1) * x + (n - 1) / 2.0
+
+
+def quadratic_value_exact(n: int, x: Fraction, tr2: Fraction) -> Fraction:
+    """The h_n quadratic ``-((n-1)^2/2) Tr X^2 + (n-1) x + (n-1)/2`` in exact
+    rationals, from the top entry x and Tr X^2 of the optimal mean."""
+    return -Fraction((n - 1) ** 2, 2) * tr2 + (n - 1) * x + Fraction(n - 1, 2)
+
+
+def hn_optimum_exact_pair(n: int) -> tuple[Fraction, Fraction]:
+    """Exact h_n optimum at d = n-2 and at d = n-1, for n >= 4.
+
+    At d = n-2 the top entry is x = 2/(n-1) and Tr X^2 = (n+1)/(n-1)^2.
+    At d = n-1 the top entry is x = (2n-3)/(n-1)^2, the other n-2 entries
+    share 1 - x = (n-2)^2/(n-1)^2 equally, so Tr X^2 = x^2 + (n-2)^3/(n-1)^4.
+    """
+    below = quadratic_value_exact(n, Fraction(2, n - 1), Fraction(n + 1, (n - 1) ** 2))
+    x = Fraction(2 * n - 3, (n - 1) ** 2)
+    top = quadratic_value_exact(n, x, x * x + Fraction((n - 2) ** 3, (n - 1) ** 4))
+    return below, top
 
 
 def _simplex_projection_bisection(v: np.ndarray) -> np.ndarray:
@@ -199,22 +220,36 @@ def ordered_functional(weights, prep, meas) -> float:
     return float(total)
 
 
+def hn_weight_matrix(n: int) -> np.ndarray:
+    """h_n's coefficients as a sign matrix: -1 off the diagonal, then +1
+    on row and column 0, and 0 on the diagonal."""
+    w = -np.ones((n, n))
+    w[0, :] = w[:, 0] = 1.0
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
 def full_batch_ascent(weights: np.ndarray, psi: np.ndarray, max_iter: int = 4000, grad_tol: float = 1e-9):
     """Multi-start sphere ascent that advances every restart on every pass.
 
     ``psi`` is the (restarts, n, d) starting batch. Each pass recomputes
     every restart's Gram matrix and gradient and masks the update of the
     stationary ones; nothing leaves the batch and no Gram matrix is kept
-    between passes. Returns the best restart's normalized rows, whether it
-    was stationary, the number of ascent steps, the number of stationary
-    restarts, and whether ``max_iter`` ran out first.
+    between passes. When ``weights`` are h_n's and d >= 2, the loop also
+    ends after the first pass that brings a restart within 1e-12 of
+    `quadratic_optimum`, and such a restart counts as stationary. Returns
+    the best restart's normalized rows, whether it was stationary, the
+    number of ascent steps, the number of stationary restarts, and whether
+    ``max_iter`` ran out first.
     """
     def objective(batch):
         gram = batch @ batch.conj().transpose(0, 2, 1)
         return 0.5 * np.einsum("ij,bij->b", weights, gram.real**2 + gram.imag**2)
 
     psi = psi.copy()
-    restarts = len(psi)
+    restarts, n, d = psi.shape
+    known = d >= 2 and np.array_equal(weights, hn_weight_matrix(n))
+    target = quadratic_optimum(n, d) - 1e-12 if known else np.inf
     step = np.full(restarts, 0.25)
     f = objective(psi)
     grad_ok = np.zeros(restarts, dtype=bool)
@@ -240,9 +275,12 @@ def full_batch_ascent(weights: np.ndarray, psi: np.ndarray, max_iter: int = 4000
         shrink = active & ~accept
         step[shrink] *= 0.5
         steps_taken += 1
+        if np.any(f >= target):
+            ran_out = False
+            break
     best = int(np.argmax(f))
     rows = np.array([psi[best, i] / np.linalg.norm(psi[best, i]) for i in range(psi.shape[1])])
-    stationary = grad_ok | (step <= 1e-15)
+    stationary = grad_ok | (step <= 1e-15) | (f >= target)
     return rows, bool(stationary[best]), steps_taken, int(np.sum(stationary)), ran_out
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from overlapkit import optimize
 from overlapkit import serialize as ser
-from overlapkit.inequalities import evaluate_states, make_h_mzi, make_hn
+from overlapkit.inequalities import evaluate_states, make_h3_robust, make_h_mzi, make_hn
 from overlapkit.mesh import _star_ensemble_states
 from overlapkit.optimize import (
     dimension_thresholds,
@@ -26,6 +26,7 @@ from _oracles import (
     PUBLISHED_HN_MAXIMA,
     ROUNDED_CELLS,
     full_batch_ascent,
+    hn_optimum_exact_pair,
     projected_gradient_optimum,
     quadratic_optimum,
     simplex_projection_grid,
@@ -65,11 +66,55 @@ class TestMaximizePure:
         with pytest.raises(ValidationError):
             maximize_pure(make_hn(3), 2, restarts=0)
 
+    @pytest.mark.parametrize("kwargs", [{"max_iter": -1}, {"grad_tol": -1e-9}, {"grad_tol": float("nan")}],
+                             ids=["max_iter=-1", "grad_tol=-1e-9", "grad_tol=nan"])
+    def test_rejects_bad_iteration_settings(self, kwargs):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            maximize_pure(make_hn(4), 2, restarts=2, **kwargs)
+
     def test_diagnostics_when_max_iter_runs_out(self):
         res = maximize_pure(make_hn(10), 8, restarts=20, seed=1010, max_iter=50)
         assert res.hit_max_iter
         assert res.iterations == 50
         assert 0 <= res.restarts_converged < 20
+
+
+class TestCertifiedStop:
+    """An h_n ascent ends once a restart is within 1e-12 of the closed-form
+    optimum; every other functional runs to stationarity."""
+
+    def test_straggler_cell_stops_at_the_optimum(self):
+        res = maximize_pure(make_hn(10), 8, restarts=200, seed=1008)
+        assert res.converged and not res.hit_max_iter
+        assert res.restarts_converged >= 1
+        assert res.iterations < 400
+        assert abs(res.value - quadratic_optimum(10, 8)) <= 1e-12
+
+    def test_spec_is_matched_by_weights_not_name(self):
+        record = ser.inequality_to_dict(make_hn(7))
+        record["name"] = "renamed"
+        renamed = ser.inequality_from_dict(record)
+        assert renamed.name == "renamed"
+        a = maximize_pure(make_hn(7), 5, restarts=16, seed=705)
+        b = maximize_pure(renamed, 5, restarts=16, seed=705)
+        # the stationarity rule alone takes 800 steps here
+        assert a.iterations < 200 and a.converged and not a.hit_max_iter
+        assert (a.iterations, a.restarts_converged, a.converged, a.hit_max_iter) == (
+            b.iterations, b.restarts_converged, b.converged, b.hit_max_iter)
+        assert np.array_equal([s.amplitudes for s in a.states], [s.amplitudes for s in b.states])
+        assert a.value == b.value
+
+    @pytest.mark.parametrize("spec,d", [(make_h_mzi(), 2), (make_h_mzi(), 3), (make_h3_robust(), 2),
+                                        (make_hn(4), 1), (make_hn(7), 1)],
+                             ids=["hmzi-d2", "hmzi-d3", "h3robust-d2", "h4-d1", "h7-d1"])
+    def test_other_functionals_run_to_stationarity(self, spec, d, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("no closed-form optimum applies here")
+
+        monkeypatch.setattr(optimize, "_optimal_mean", forbidden)
+        res = maximize_pure(spec, d, restarts=8, seed=3)
+        # the batch emptied: every restart passed the stationarity test
+        assert res.restarts_converged == 8 and not res.hit_max_iter
 
 
 # (spec, d, restarts, seed, max_iter): the d = n-2 straggler cells, one
@@ -228,6 +273,16 @@ class TestThresholdsFor:
             states = _star_ensemble_states(n, min(d, n - 1))
             assert abs(evaluate_states(make_hn(n), states) - value) <= 1e-12, (n, d)
 
+    def test_exact_over_the_papers_range(self):
+        # 3 < n < 2^12: h_n is exactly 1 at d = n-2 (so d = n-2 states never
+        # violate; (4, 2) is the qubit h_4 case) and above 1 at d = n-1
+        for n in range(4, 2**12):
+            below, top = hn_optimum_exact_pair(n)
+            assert below == 1, n
+            assert top > 1, n
+            assert abs(optimize._optimal_mean(n, n - 2)[1] - float(below)) <= 1e-12, n
+            assert abs(optimize._optimal_mean(n, n - 1)[1] - float(top)) <= 1e-12, n
+
     def test_runs_no_ascent(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("thresholds_for must not run an ascent")
@@ -294,6 +349,11 @@ class TestHaarExperiment:
         b = haar_experiment(make_hn(4), 3, 5000, seed=9)
         assert np.array_equal(a.values, b.values)
         assert ser.dumps(ser.sampling_to_dict(a)) == ser.dumps(ser.sampling_to_dict(b))
+
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_rejects_chunk_size_below_one(self, chunk_size):
+        with pytest.raises(ValidationError, match="chunk_size"):
+            haar_experiment(make_hn(4), 2, 100, seed=0, chunk_size=chunk_size)
 
     def test_threads_do_not_change_results(self, monkeypatch):
         a = haar_experiment(make_hn(4), 3, 9000, seed=4)
