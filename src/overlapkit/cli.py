@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import serialize as ser
-from .inequalities import InequalitySpec, OverlapSet, classify, evaluate, make_h3_robust, make_h_mzi, make_hn
+from .inequalities import InequalitySpec, OverlapSet, classify, evaluate, hn_order, make_h3_robust, make_h_mzi, make_hn
 from .interrogation import eta_ideal, eta_noisy, hexagon, robustness_curve
 from .mesh import (
     calibration_fit,
@@ -99,18 +99,7 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
-def named_inequality(name: str) -> InequalitySpec:
-    key = name.strip().lower()
-    if key == "hmzi":
-        return make_h_mzi()
-    if key == "h3robust":
-        return make_h3_robust()
-    if key.startswith("h"):
-        try:
-            return make_hn(int(key[1:]))
-        except (ValueError, ValidationError) as exc:
-            raise ValidationError(f"unknown inequality {name!r}") from exc
-    raise ValidationError(f"unknown inequality {name!r}")
+_NAMED = {"hmzi": make_h_mzi, "h3robust": make_h3_robust}
 
 
 def load_inequality(ref: str) -> InequalitySpec:
@@ -120,12 +109,17 @@ def load_inequality(ref: str) -> InequalitySpec:
     a stray file called ``h4`` in the working directory is never read.
     """
     key = ref.strip().lower()
-    if key in ("hmzi", "h3robust") or (key[:1] == "h" and key[1:].isdigit()):
-        return named_inequality(ref)
+    if key in _NAMED:
+        return _NAMED[key]()
+    if key[:1] == "h" and key[1:].isdigit():
+        try:
+            return make_hn(int(key[1:]))
+        except (ValueError, ValidationError) as exc:
+            raise ValidationError(f"unknown inequality {ref!r}") from exc
     path = Path(ref)
     if path.suffix == ".json" or path.exists():
         return ser.inequality_from_dict(_read_json(path))
-    return named_inequality(ref)
+    raise ValidationError(f"unknown inequality {ref!r}")
 
 
 def _read_text(path: Path) -> str:
@@ -198,7 +192,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "input must be an overlap-set record (field 'upper') or a "
             "state-set record (field 'states')")
     value = evaluate(spec, overlaps)
-    thresholds = thresholds_for(spec.n) if args.thresholds and spec.name.startswith("h") and spec.name[1:].isdigit() else []
+    thresholds = thresholds_for(spec.n) if args.thresholds and hn_order(spec) is not None else []
     verdict = classify(spec, value, thresholds, slack=args.slack)
     run.write_json("verdict.json", ser.verdict_to_dict(verdict))
     if args.format == "csv":
@@ -268,10 +262,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_maximize(args: argparse.Namespace) -> int:
     run = _Run(args, "maximize")
     spec = load_inequality(args.inequality)
-    result = maximize_pure(spec, args.d, restarts=args.restarts, seed=args.seed)
+    # the bound first: a dimension it rejects stops the run before the ascent
     sdp = None
-    if args.bound and spec.name.startswith("h") and spec.name[1:].isdigit() and spec.n >= 4:
+    if args.bound and spec.n >= 4 and hn_order(spec) is not None:
         sdp = sdp_upper_bound(spec.n, min(args.d, spec.n - 1))
+    result = maximize_pure(spec, args.d, restarts=args.restarts, seed=args.seed)
     run.write_json("maximization.json", ser.maximization_to_dict(result))
     if sdp is not None:
         run.write_json("upper_bound.json", ser.sdp_to_dict(sdp))
@@ -416,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inequality", required=True)
     p.add_argument("--thresholds", action="store_true",
                    help="classify the minimal dimension against computed maxima")
-    p.add_argument("--slack", type=float, default=0.0)
+    p.add_argument("--slack", type=_nonnegative_float, default=0.0)
 
     p = sub.add_parser("table", help="maxima per (n, d): ascent and quadratic bound")
     common(p)

@@ -10,6 +10,7 @@ space dimension, so the same functionals double as dimension indicators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -23,6 +24,7 @@ __all__ = [
     "WitnessVerdict",
     "edge_order",
     "make_hn",
+    "hn_order",
     "make_h_mzi",
     "make_h3_robust",
     "evaluate",
@@ -171,6 +173,18 @@ def make_hn(n: int) -> InequalitySpec:
     return InequalitySpec(n=n, weights=weights, classical_bound=1.0, name=f"h{n}")
 
 
+def hn_order(spec: InequalitySpec) -> int | None:
+    """n when the spec's edge weights are those of `make_hn(n)`, else None.
+
+    The one test of whether a spec is h_n: its name and classical bound are
+    ignored, so a renamed h_n file is h_n and other weights saved under
+    the name "h5" are not.
+    """
+    if spec.n >= 3 and spec.weights == make_hn(spec.n).weights:
+        return spec.n
+    return None
+
+
 def make_h_mzi() -> InequalitySpec:
     """Pentagon functional tailored to two-level interferometers.
 
@@ -198,10 +212,15 @@ def make_h3_robust() -> InequalitySpec:
 
 
 def evaluate(spec: InequalitySpec, overlaps: OverlapSet) -> float:
-    """Apply the functional to an overlap set (upper-triangular entries only)."""
+    """Apply the functional to an overlap set (upper-triangular entries only).
+
+    The terms are summed exactly (`math.fsum`): a left-to-right float sum
+    of the n(n-1)/2 terms of h_n drifts past `classify`'s rounding margin
+    at a few hundred states.
+    """
     if spec.n != overlaps.n:
         raise ValidationError(f"size mismatch: spec has n={spec.n}, overlaps n={overlaps.n}")
-    return float(sum(w * overlaps.r[i, j] for (i, j), w in spec.weights.items()))
+    return math.fsum(w * overlaps.r[i, j] for (i, j), w in spec.weights.items())
 
 
 def evaluate_states(spec: InequalitySpec, states: Sequence[StateLike]) -> float:
@@ -236,8 +255,11 @@ def classify(
     max(1, |max_value|)``, so an exact maximizer at dimension d is not
     reported above d; the classical-bound comparison has no such margin.
     With no thresholds the dimension is reported as 1 with
-    ``min_dimension_known=False``.
+    ``min_dimension_known=False``. ``slack`` must be finite and
+    non-negative: a negative one would witness below the bound.
     """
+    if not 0.0 <= slack < math.inf:  # also rejects NaN
+        raise ValidationError(f"slack must be a finite non-negative number, got {slack!r}")
     thr = tuple((int(d), float(v)) for d, v in thresholds)
     if any(thr[k][0] >= thr[k + 1][0] for k in range(len(thr) - 1)):
         raise ValidationError("thresholds must be sorted strictly ascending in dimension")

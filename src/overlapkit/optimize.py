@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequalities import InequalitySpec, evaluate_states, make_hn
+from .inequalities import InequalitySpec, evaluate_states, hn_order, make_hn
 from .states import (
     DensityMatrix,
     PureState,
@@ -41,8 +41,6 @@ __all__ = [
     "sdp_upper_bound",
     "haar_experiment",
     "dimension_thresholds",
-    "project_simplex",
-    "project_density",
     "uniform_pure_ensemble",
 ]
 
@@ -138,14 +136,13 @@ def maximize_pure(
     path as in a batch of all restarts. Deterministic for a fixed seed;
     ties between restarts go to the first (seed-ordered) tuple.
 
-    When the spec's weights are those of h_n and d >= 2, the optimum is
+    When the spec is h_n (`inequalities.hn_order`) and d >= 2, the optimum is
     known in closed form (`_optimal_mean`, as `thresholds_for` gives it),
     and the ascent ends after the first step at which a restart's value
     comes within ``_CERTIFIED_GAP`` of it: no restart can do better than
     the bound, so further steps only polish a degenerate maximizer set.
-    The spec is matched by its weights, not its name. Every other
-    functional, and d = 1, runs until each restart is stationary or
-    ``max_iter`` steps are spent.
+    Every other functional, and d = 1, runs until each restart is
+    stationary or ``max_iter`` steps are spent.
 
     The returned value is recomputed through `evaluate_states`, so it is a
     certified lower bound on the true maximum.
@@ -161,8 +158,8 @@ def maximize_pure(
     rng = make_rng(seed)
     n = spec.n
     w = spec.weight_matrix()
-    # only an h_n run (matched by weights) has a known optimum to stop at
-    hn = d >= 2 and n >= 3 and np.array_equal(w, make_hn(n).weight_matrix())
+    # only an h_n run has a known optimum to stop at
+    hn = d >= 2 and hn_order(spec) is not None
     stop_at = _optimal_mean(n, min(d, n - 1))[1] - _CERTIFIED_GAP if hn else np.inf
     # full per-restart arrays; a restart's row is final once it retires
     psi_all = haar_random_pure_batch(restarts, n, d, rng)
@@ -233,39 +230,6 @@ def maximize_pure(
         restarts_converged=int(np.sum(stationary)),
         hit_max_iter=bool(live.size) and not certified.any(),
     )
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex.
-
-    Sort-and-threshold: find the largest k with
-    ``u_k + (1 - sum_{i<=k} u_i)/k > 0`` for the descending sort u, then
-    shift and clip.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValidationError("expected a non-empty 1-d vector")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    cond = u + (1.0 - css) / ks > 0
-    k = int(np.nonzero(cond)[0][-1]) + 1
-    tau = (1.0 - css[k - 1]) / k
-    return np.maximum(v + tau, 0.0)
-
-
-def project_density(h: np.ndarray) -> DensityMatrix:
-    """Frobenius-nearest density matrix to a Hermitian matrix.
-
-    Diagonalize and project the eigenvalue vector onto the probability
-    simplex; unitary invariance of the Frobenius norm makes this exact.
-    """
-    m = np.asarray(h, dtype=np.complex128)
-    m = (m + m.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(m)
-    proj = project_simplex(vals)
-    out = (vecs * proj) @ vecs.conj().T
-    return DensityMatrix(out)
 
 
 def _optimal_mean(n: int, d: int) -> tuple[np.ndarray, float]:

@@ -73,7 +73,7 @@ def hn_optimum_exact_pair(n: int) -> tuple[Fraction, Fraction]:
 
 def _simplex_projection_bisection(v: np.ndarray) -> np.ndarray:
     """Projection onto the probability simplex: bisect the shift tau with
-    sum(max(v - tau, 0)) = 1 (the library sorts and thresholds instead)."""
+    sum(max(v - tau, 0)) = 1 (the library has the projection in closed form)."""
     lo, hi = float(v.min()) - 1.0, float(v.max())
     for _ in range(200):
         tau = (lo + hi) / 2.0
@@ -129,14 +129,6 @@ def brute_force_h4_qubit(theta: float, alpha: float, phi: float) -> float:
     r02 = abs(np.vdot(s0, s2)) ** 2
     r12 = abs(np.vdot(s1, s2)) ** 2
     return float(lam - 1.0 - r01 - r02 - r12)
-
-
-def simplex_projection_grid(v: np.ndarray, steps: int = 400) -> np.ndarray:
-    """Exhaustive-search projection onto the 2-simplex {(p, 1-p)}."""
-    ps = np.linspace(0.0, 1.0, steps + 1)
-    cands = np.stack([ps, 1.0 - ps], axis=1)
-    dists = np.linalg.norm(cands - v[None, :], axis=1)
-    return cands[np.argmin(dists)]
 
 
 def pentagon_exact() -> float:

@@ -141,6 +141,28 @@ class TestEvaluate:
         assert "2.795" in capsys.readouterr().out
 
 
+class TestSlack:
+    @pytest.mark.parametrize("slack", ["nan", "inf", "-1"])
+    def test_bad_slack_is_an_argparse_error(self, tmp_path, pentagon_overlaps, capsys, slack):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--input", pentagon_overlaps, "--inequality", "hmzi", "--slack", slack,
+                  "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_replayed_negative_slack_is_a_validation_error(self, tmp_path, pentagon_overlaps, capsys):
+        out = tmp_path / "out"
+        assert main(["evaluate", "--input", pentagon_overlaps, "--inequality", "hmzi", "--out-dir", str(out)]) == EXIT_OK
+        manifest = out / "manifest-evaluate.json"
+        record = json.loads(manifest.read_text())
+        record["parameters"]["slack"] = -1
+        manifest.write_text(json.dumps(record))
+        (out / "verdict.json").unlink()
+        assert main(["replay", str(manifest)]) == EXIT_VALIDATION
+        assert "'slack'" in capsys.readouterr().err
+        assert not (out / "verdict.json").exists()
+
+
 # (files written into the working directory, argv); every record is malformed
 MALFORMED_RECORDS = [
     pytest.param({"n.json": 5}, ["evaluate", "--input", "n.json", "--inequality", "h3"],
@@ -419,6 +441,77 @@ class TestMaximize:
         assert rc == EXIT_VALIDATION
         assert "2 <= d" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bound_the_library_rejects_stops_before_the_ascent(self, tmp_path, monkeypatch, capsys):
+        def no_ascent(*args, **kwargs):
+            raise AssertionError("the ascent ran")
+
+        monkeypatch.setattr(cli, "maximize_pure", no_ascent)
+        out = tmp_path / "out"
+        rc = main(["maximize", "--inequality", "h6", "--d", "1", "--bound", "--out-dir", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "2 <= d" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def saved_spec(tmp_path, spec, name):
+    """Write ``spec`` as a spec file under another name; returns its path."""
+    record = ser.inequality_to_dict(spec)
+    record["name"] = name
+    return write_json(tmp_path / f"{name}-spec.json", record)
+
+
+def states_file(tmp_path, states):
+    record = {"kind": "pure", "states": [ser.pure_state_to_dict(s) for s in states]}
+    return write_json(tmp_path / "states.json", record)
+
+
+class TestHnIdentity:
+    """--thresholds and --bound follow the weights of h_n, whatever the spec's name."""
+
+    def test_pentagon_named_h5_gets_no_thresholds(self, tmp_path, capsys):
+        spec = saved_spec(tmp_path, make_h_mzi(), "h5")
+        rc = main(["evaluate", "--input", states_file(tmp_path, pentagon_qubit_set()), "--inequality", spec,
+                   "--thresholds", "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_OK
+        verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+        assert verdict["min_dimension"] == 1 and not verdict["min_dimension_known"]
+        assert verdict["coherence_witnessed"]
+        assert "min_dimension=1" in capsys.readouterr().out
+
+    def test_pentagon_named_h5_gets_no_bound(self, tmp_path, capsys):
+        spec = saved_spec(tmp_path, make_h_mzi(), "h5")
+        out = tmp_path / "out"
+        rc = main(["maximize", "--inequality", spec, "--d", "2", "--restarts", "4", "--bound", "--out-dir", str(out)])
+        assert rc == EXIT_OK
+        assert not (out / "upper_bound.json").exists()
+        assert "upper_bound" not in capsys.readouterr().out
+
+    def test_renamed_h5_gets_thresholds(self, tmp_path, capsys):
+        from overlapkit.mesh import ququart_h5_set
+        states = states_file(tmp_path, ququart_h5_set())
+        verdicts = {}
+        for ref in ("h5", saved_spec(tmp_path, make_hn(5), "mine")):
+            out = tmp_path / f"out-{len(verdicts)}"
+            assert main(["evaluate", "--input", states, "--inequality", ref, "--thresholds",
+                         "--out-dir", str(out)]) == EXIT_OK
+            verdicts[ref] = (out / "verdict.json").read_bytes()
+        assert len(set(verdicts.values())) == 1
+        assert json.loads(verdicts["h5"])["min_dimension"] == 4
+
+    def test_renamed_h5_gets_the_bound(self, tmp_path, capsys):
+        spec = saved_spec(tmp_path, make_hn(5), "mine")
+        for ref, out in (("h5", tmp_path / "builtin"), (spec, tmp_path / "renamed")):
+            assert main(["maximize", "--inequality", ref, "--d", "4", "--restarts", "2", "--bound",
+                         "--out-dir", str(out)]) == EXIT_OK
+        for name in ("maximization.json", "upper_bound.json"):
+            assert (tmp_path / "renamed" / name).read_bytes() == (tmp_path / "builtin" / name).read_bytes()
+
+    @pytest.mark.parametrize("ref", ["h2", "h", "hx", "h\u00b2", "h 4"])
+    def test_unknown_name(self, tmp_path, pentagon_overlaps, capsys, ref):
+        rc = main(["evaluate", "--input", pentagon_overlaps, "--inequality", ref, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_VALIDATION
+        assert f"unknown inequality {ref!r}" in capsys.readouterr().err
 
 
 class TestSample:

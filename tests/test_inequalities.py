@@ -13,6 +13,7 @@ from overlapkit.inequalities import (
     edge_order,
     evaluate,
     evaluate_states,
+    hn_order,
     hn_plus,
     make_h3_robust,
     make_h_mzi,
@@ -21,6 +22,7 @@ from overlapkit.inequalities import (
 )
 from overlapkit.mesh import _star_ensemble_states, pentagon_qubit_set, qutrit_h4_set, ququart_h5_set
 from overlapkit.optimize import thresholds_for
+from overlapkit import serialize as ser
 from overlapkit.states import basis_state, haar_random_pure, make_rng, qubit_state
 
 from _oracles import brute_force_h4_qubit, pentagon_exact
@@ -258,6 +260,22 @@ class TestClassify:
         # the classical bound stays strict: one ulp above 1 witnesses
         assert classify(spec, np.nextafter(1.0, 2.0), thr).coherence_witnessed
 
+    @pytest.mark.parametrize("slack", [float("nan"), float("inf"), -1.0])
+    def test_bad_slack_rejected(self, slack):
+        # NaN or inf would hide every witness, a negative slack invent one
+        with pytest.raises(ValidationError, match="slack"):
+            classify(make_h_mzi(), 2.795, [], slack=slack)
+
+    # n <= 10 runs at every d in the test below
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(11, 65) for d in (n - 2, n - 1)]
+                             + [(224, 223), (256, 255)])
+    def test_exact_maximizers_over_the_paper_range(self, n, d):
+        # a left-to-right float sum put the d = n-1 maximizer above its
+        # threshold at n = 224 and 256, reporting n + 1 dimensions
+        spec = make_hn(n)
+        verdict = classify(spec, evaluate_states(spec, _star_ensemble_states(n, d)), thresholds_for(n))
+        assert verdict.min_dimension == d, (n, d, verdict.value)
+
     @pytest.mark.parametrize("n", range(3, 11))
     def test_exact_maximizers_not_over_reported(self, n):
         spec, thr = make_hn(n), thresholds_for(n)
@@ -274,6 +292,27 @@ class TestClassify:
     def test_unsorted_thresholds_rejected(self):
         with pytest.raises(ValidationError):
             classify(make_hn(4), 1.0, [(3, 1.3), (2, 1.0)])
+
+
+class TestHnOrder:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_builtins(self, n):
+        assert hn_order(make_hn(n)) == n
+
+    def test_renamed_file_is_still_hn(self):
+        record = ser.inequality_to_dict(make_hn(7))
+        record["name"] = "mine"
+        assert hn_order(ser.inequality_from_dict(record)) == 7
+
+    def test_other_weights_are_not_hn(self):
+        h5 = make_hn(5)
+        flipped = dict(h5.weights)
+        flipped[(1, 2)] = 1.0
+        missing = {e: w for e, w in h5.weights.items() if e != (3, 4)}
+        hmzi_as_h5 = InequalitySpec(5, make_h_mzi().weights, 2.0, name="h5")
+        for spec in (make_h_mzi(), make_h3_robust(), hmzi_as_h5,
+                     InequalitySpec(5, flipped, 1.0, name="h5"), InequalitySpec(5, missing, 1.0, name="h5")):
+            assert hn_order(spec) is None, spec.weights
 
 
 class TestRobustH3Spec:

@@ -2,8 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from overlapkit import optimize
 from overlapkit import serialize as ser
@@ -13,8 +11,6 @@ from overlapkit.optimize import (
     dimension_thresholds,
     haar_experiment,
     maximize_pure,
-    project_density,
-    project_simplex,
     sdp_upper_bound,
     thresholds_for,
     uniform_pure_ensemble,
@@ -29,7 +25,6 @@ from _oracles import (
     hn_optimum_exact_pair,
     projected_gradient_optimum,
     quadratic_optimum,
-    simplex_projection_grid,
 )
 
 SEEDS = [0, 1, 2]
@@ -140,62 +135,6 @@ def test_ascent_is_bitwise_the_full_batch_loop(spec, d, restarts, seed, max_iter
     assert np.array_equal(res.value, evaluate_states(spec, states))
     assert res.converged == converged
     assert (res.iterations, res.restarts_converged, res.hit_max_iter) == (steps, stationary, ran_out)
-
-
-class TestSimplexProjection:
-    def test_already_on_simplex(self):
-        v = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(project_simplex(v), v, atol=1e-14)
-
-    def test_matches_grid_search_2d(self):
-        rng = make_rng(8)
-        for _ in range(50):
-            v = rng.uniform(-2, 2, 2)
-            got = project_simplex(v)
-            ref = simplex_projection_grid(v, steps=4000)
-            assert np.linalg.norm(got - ref) < 1e-3
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_output_is_distribution(self, seed):
-        rng = make_rng(seed)
-        for _ in range(50):
-            p = project_simplex(rng.standard_normal(6))
-            assert np.all(p >= 0)
-            assert np.sum(p) == pytest.approx(1.0, abs=1e-12)
-
-    def test_projection_is_idempotent_and_nearest(self):
-        rng = make_rng(3)
-        for _ in range(30):
-            v = rng.standard_normal(4)
-            p = project_simplex(v)
-            assert np.allclose(project_simplex(p), p, atol=1e-12)
-            # any random feasible point is no closer
-            q = rng.dirichlet(np.ones(4))
-            assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-12
-
-
-class TestProjectDensity:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_valid_output(self, seed):
-        rng = make_rng(seed)
-        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = h + h.conj().T
-        rho = project_density(h)
-        assert isinstance(rho, DensityMatrix)
-
-    def test_nearest_in_2x2_case(self):
-        # exhaustive check over diagonal 2x2 matrices
-        rng = make_rng(4)
-        for _ in range(40):
-            v = rng.uniform(-2, 2, 2)
-            rho = project_density(np.diag(v).astype(complex))
-            ref = simplex_projection_grid(v, steps=4000)
-            assert np.linalg.norm(np.diag(rho.entries).real - ref) < 1e-3
-
-    def test_fixes_density_matrix(self):
-        rho = DensityMatrix(np.diag([0.6, 0.4]).astype(complex))
-        out = project_density(rho.entries)
-        assert np.allclose(out.entries, rho.entries, atol=1e-12)
 
 
 class TestSdpUpperBound:
@@ -400,11 +339,3 @@ class TestDimensionThresholds:
     def test_rejects_d_max_below_two(self, d_max):
         with pytest.raises(ValidationError, match="d_max"):
             dimension_thresholds(4, d_max, restarts=2)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=8))
-def test_simplex_projection_properties(vals):
-    p = project_simplex(np.array(vals))
-    assert np.all(p >= 0)
-    assert np.sum(p) == pytest.approx(1.0, abs=1e-9)
