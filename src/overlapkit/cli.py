@@ -157,7 +157,8 @@ class _Run:
         self.started = time.monotonic()
 
     def write_text(self, name: str, text: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        if not self.outputs:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         path.write_text(text)
         self.outputs.append(str(path))

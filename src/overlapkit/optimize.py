@@ -270,10 +270,32 @@ def sdp_upper_bound(n: int, d: int) -> SdpResult:
     return SdpResult(value=value, x_star=DensityMatrix(np.diag(lam).astype(np.complex128)))
 
 
-def _haar_chunk(spec_w: np.ndarray, n: int, d: int, count: int, ss: np.random.SeedSequence) -> np.ndarray:
+# Sets per block of a Haar chunk. A block's complex temporaries (states,
+# Gram stack, |G|^2) stay cache-sized; the values do not depend on it,
+# since every step below acts on each set alone.
+_HAAR_BLOCK = 256
+
+
+def _haar_chunk(spec_w: np.ndarray, n: int, d: int, out: np.ndarray, ss: np.random.SeedSequence) -> None:
+    """Write the functional values of ``out.size`` Haar tuples into ``out``.
+
+    Draws the stream of `haar_random_pure_batch` (every real part, then
+    every imaginary part) but builds the states one block at a time, with
+    bitwise the same arithmetic: assigning ``.real``/``.imag`` equals
+    ``re + 1j*im``, and multiplying by the reciprocal norm equals numpy's
+    complex-by-real division.
+    """
     rng = np.random.Generator(np.random.PCG64(ss))
-    psi = haar_random_pure_batch(count, n, d, rng)
-    return _gram_objective(spec_w, _gram(psi))
+    count = out.size
+    re = rng.standard_normal((count, n, d))
+    z = np.empty((min(count, _HAAR_BLOCK), n, d), dtype=np.complex128)
+    for start in range(0, count, _HAAR_BLOCK):
+        stop = min(start + _HAAR_BLOCK, count)
+        zb = z[: stop - start]
+        zb.real = re[start:stop]
+        zb.imag = rng.standard_normal(zb.shape)
+        zb *= 1.0 / np.linalg.norm(zb, axis=2, keepdims=True)
+        out[start:stop] = _gram_objective(spec_w, _gram(zb))
 
 
 def haar_experiment(
@@ -285,9 +307,17 @@ def haar_experiment(
 ) -> SamplingReport:
     """Evaluate the functional on ``num_sets`` Haar-random state tuples.
 
-    Work is split into fixed-size chunks, each with its own child stream
-    spawned from the seed, so results are bit-identical no matter how many
-    worker threads run them (set ``OVERLAPKIT_THREADS`` to parallelize).
+    Work is split into chunks of ``chunk_size`` sets, each with its own
+    child stream spawned from the seed, so results are bit-identical no
+    matter how many worker threads run them (set ``OVERLAPKIT_THREADS`` to
+    parallelize); ``chunk_size`` therefore fixes the values. Each chunk
+    draws its real parts at once, then walks its sets in blocks of
+    ``_HAAR_BLOCK``, drawing the imaginary parts block by block in the same
+    stream order, and writes into one preallocated ``values`` array. The
+    values are bitwise those of drawing the whole chunk with
+    `haar_random_pure_batch` and evaluating it in one batch. Besides
+    ``values``, a worker holds about one chunk of real parts
+    (``chunk_size * n * d`` floats) plus one block of complex temporaries.
     ``violation_count`` counts values strictly above the classical bound.
     """
     if num_sets < 1:
@@ -297,17 +327,17 @@ def haar_experiment(
     if chunk_size < 1:
         raise ValidationError("chunk_size must be at least 1")
     w = spec.weight_matrix()
-    counts = [chunk_size] * (num_sets // chunk_size)
-    if num_sets % chunk_size:
-        counts.append(num_sets % chunk_size)
-    seeds = split_seeds(seed, len(counts))
+    starts = range(0, num_sets, chunk_size)
+    seeds = split_seeds(seed, len(starts))
+    values = np.empty(num_sets)
+    jobs = [(values[start:start + chunk_size], ss) for start, ss in zip(starts, seeds)]
     threads = _thread_count()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda args: _haar_chunk(w, spec.n, d, *args), zip(counts, seeds)))
+            list(pool.map(lambda job: _haar_chunk(w, spec.n, d, *job), jobs))
     else:
-        parts = [_haar_chunk(w, spec.n, d, c, s) for c, s in zip(counts, seeds)]
-    values = np.concatenate(parts)
+        for out, ss in jobs:
+            _haar_chunk(w, spec.n, d, out, ss)
     values.setflags(write=False)
     return SamplingReport(
         n=spec.n,

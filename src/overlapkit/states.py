@@ -83,9 +83,14 @@ def make_rng(seed: SeedLike) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
+
+
+def _seed_sequence(seed: int) -> np.random.SeedSequence:
+    """The root ``SeedSequence`` of a seed, which must be a non-negative integer."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    return np.random.SeedSequence(int(seed))
 
 
 def split_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
@@ -93,11 +98,12 @@ def split_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
 
     Children are spawned from ``SeedSequence(seed)``, so the split is
     deterministic and the streams are statistically independent regardless
-    of how callers schedule them.
+    of how callers schedule them. The seed is checked as `make_rng` checks
+    it.
     """
     if n < 0:
         raise ValidationError("cannot split into a negative number of streams")
-    return np.random.SeedSequence(int(seed)).spawn(n)
+    return _seed_sequence(seed).spawn(n)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -276,6 +276,28 @@ def full_batch_ascent(weights: np.ndarray, psi: np.ndarray, max_iter: int = 4000
     return rows, bool(stationary[best]), steps_taken, int(np.sum(stationary)), ran_out
 
 
+def haar_values_full_chunk(spec, d: int, num_sets: int, seed: int, chunk_size: int = 4096) -> np.ndarray:
+    """Haar-sampling values built a whole chunk at a time.
+
+    Per seed-split chunk: every state of the chunk drawn at once by
+    `haar_random_pure_batch`, one Gram stack, one objective call, and the
+    chunks concatenated. The library streams each chunk through blocks and
+    must reproduce these values bitwise.
+    """
+    from overlapkit.optimize import _gram, _gram_objective
+    from overlapkit.states import haar_random_pure_batch, split_seeds
+
+    w = spec.weight_matrix()
+    counts = [chunk_size] * (num_sets // chunk_size)
+    if num_sets % chunk_size:
+        counts.append(num_sets % chunk_size)
+    parts = []
+    for count, ss in zip(counts, split_seeds(seed, len(counts))):
+        psi = haar_random_pure_batch(count, spec.n, d, np.random.Generator(np.random.PCG64(ss)))
+        parts.append(_gram_objective(w, _gram(psi)))
+    return np.concatenate(parts)
+
+
 # The preparation circuits as numpy scalar expressions (np.sin, np.cos,
 # np.exp(1j * p) per amplitude); the library computes the same products
 # with `math` on Python floats.

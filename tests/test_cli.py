@@ -13,7 +13,10 @@ from overlapkit import serialize as ser
 from overlapkit.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_angle
 from overlapkit.inequalities import OverlapSet, make_h_mzi, make_hn
 from overlapkit.mesh import clements_layout, MeshCell, MeshConfig, decompose, haar_random_unitary, pentagon_qubit_set
+from overlapkit.optimize import SamplingReport
 from overlapkit.states import ValidationError, basis_state, qubit_state
+
+from _oracles import haar_values_full_chunk
 
 
 def write_json(path, obj):
@@ -539,6 +542,53 @@ class TestSample:
         assert (d1 / "sampling.json").read_bytes() == (d2 / "sampling.json").read_bytes()
         assert (d1 / "histogram.csv").read_bytes() == (d2 / "histogram.csv").read_bytes()
 
+    def test_matches_the_full_chunk_route_byte_for_byte(self, tmp_path):
+        rc = main(["sample", "--inequality", "h6", "--d", "4", "--num-sets", "20000", "--seed", "1",
+                   "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        values = haar_values_full_chunk(make_hn(6), 4, 20000, 1)
+        report = SamplingReport(n=6, d=4, num_sets=20000, values=values, max_value=float(values.max()),
+                                violation_count=int(np.sum(values > make_hn(6).classical_bound)))
+        assert (tmp_path / "sampling.json").read_text() == ser.dumps(ser.sampling_to_dict(report, include_values=False))
+        assert (tmp_path / "histogram.csv").read_text() == ser.histogram_csv(values, bins=50)
+
+
+class TestNegativeSeed:
+    def test_sample_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["sample", "--inequality", "h4", "--d", "2", "--num-sets", "10", "--seed", "-1",
+                   "--out-dir", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mesh_counts_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        states = {"kind": "pure",
+                  "states": [ser.pure_state_to_dict(s) for s in pentagon_qubit_set()]}
+        path = write_json(tmp_path / "states.json", states)
+        out = tmp_path / "out"
+        rc = main(["mesh", "counts", "--states", path, "--trials", "100", "--seed", "-1",
+                   "--out-dir", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replayed_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sample", "--inequality", "h4", "--d", "2", "--num-sets", "10",
+                     "--out-dir", str(out)]) == EXIT_OK
+        manifest = out / "manifest-sample.json"
+        record = json.loads(manifest.read_text())
+        record["parameters"]["seed"] = record["seed"] = -1
+        manifest.write_text(json.dumps(record))
+        before = manifest.read_bytes()
+        for name in ("sampling.json", "histogram.csv"):
+            (out / name).unlink()
+        assert main(["replay", str(manifest)]) == EXIT_VALIDATION
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest-sample.json"]
+        assert manifest.read_bytes() == before
+
 
 class TestMeshCommands:
     def test_simulate_and_decompose_roundtrip(self, tmp_path, capsys):
@@ -706,6 +756,21 @@ class TestExitCodes:
 
 
 class TestManifest:
+    def test_output_directory_is_made_once_per_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        made = []
+        mkdir = Path.mkdir
+
+        def counting_mkdir(self, *args, **kwargs):
+            made.append(self)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        rc = main(["sample", "--inequality", "h4", "--d", "2", "--num-sets", "10", "--out-dir", str(out)])
+        assert rc == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["histogram.csv", "manifest-sample.json", "sampling.json"]
+        assert made == [out]
+
     def test_manifest_written_and_replayable(self, tmp_path):
         rc = main(["sample", "--inequality", "h4", "--d", "2", "--num-sets", "2000",
                    "--seed", "5", "--out-dir", str(tmp_path)])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from _oracles import (
     PUBLISHED_HN_MAXIMA,
     ROUNDED_CELLS,
     full_batch_ascent,
+    haar_values_full_chunk,
     hn_optimum_exact_pair,
     projected_gradient_optimum,
     quadratic_optimum,
@@ -283,11 +285,49 @@ class TestHaarExperiment:
         assert rep.violation_count == int(np.sum(rep.values > 1.0))
         assert rep.num_sets == rep.values.size == 5000
 
-    def test_deterministic_and_chunk_invariant(self):
+    def test_deterministic_and_first_chunk_independent_of_num_sets(self):
         a = haar_experiment(make_hn(4), 3, 5000, seed=9)
         b = haar_experiment(make_hn(4), 3, 5000, seed=9)
         assert np.array_equal(a.values, b.values)
         assert ser.dumps(ser.sampling_to_dict(a)) == ser.dumps(ser.sampling_to_dict(b))
+        # chunk_size fixes the seed split, so values depend on it; a chunk's
+        # stream does not depend on how many chunks follow it
+        for c in (1000, 4096):
+            one = haar_experiment(make_hn(4), 3, c, seed=9, chunk_size=c)
+            three = haar_experiment(make_hn(4), 3, 3 * c, seed=9, chunk_size=c)
+            assert three.values[:c].tobytes() == one.values.tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            haar_experiment(make_hn(4), 2, 100, seed=seed)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_values_are_bitwise_the_full_chunk_route(self, n, monkeypatch):
+        spec = make_hn(n)
+        for d in range(1, n + 1):
+            for num_sets in (1, 255, 256, 257, 4096, 4097, 9000):
+                for chunk_size in (4096, 1000):
+                    seed = 10 * n + d
+                    expected = haar_values_full_chunk(spec, d, num_sets, seed, chunk_size).tobytes()
+                    for threads in ("1", "2"):
+                        monkeypatch.setenv("OVERLAPKIT_THREADS", threads)
+                        got = haar_experiment(spec, d, num_sets, seed=seed, chunk_size=chunk_size).values
+                        assert got.tobytes() == expected, (d, num_sets, chunk_size, threads)
+
+    @pytest.mark.parametrize("n,d,num_sets,limit_mib", [(6, 4, 20_000, 2.0), (10, 9, 4096, 6.0)])
+    def test_transient_memory_is_one_real_chunk_plus_one_block(self, n, d, num_sets, limit_mib, monkeypatch):
+        # the whole-chunk route peaks at 6.1 and 18.1 MiB on these calls
+        monkeypatch.setenv("OVERLAPKIT_THREADS", "1")
+        spec = make_hn(n)
+        haar_experiment(spec, d, num_sets, seed=1)
+        tracemalloc.start()
+        try:
+            haar_experiment(spec, d, num_sets, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
 
     @pytest.mark.parametrize("chunk_size", [0, -5])
     def test_rejects_chunk_size_below_one(self, chunk_size):

@@ -232,6 +232,13 @@ class TestHaar:
         g1 = np.random.Generator(np.random.PCG64(a[1])).standard_normal(4)
         assert not np.allclose(g0, g1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_split_seeds_checks_the_seed_as_make_rng_does(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            make_rng(seed)
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            split_seeds(seed, 2)
+
 
 class TestMaxEigenvalue:
     def test_identity(self):
