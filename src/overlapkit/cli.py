@@ -55,48 +55,23 @@ def parse_angle(text: str) -> float:
     return float(np.deg2rad(value)) if degrees else value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _checked(convert, accept, expected: str):
+    """argparse type: ``convert`` the text, then require ``accept(value)``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):  # accept also rejects NaN
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type: an integer of at least 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
-
-
-def _unit_interval(text: str) -> float:
-    """argparse type: a number in [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = -1.0
-    if not 0.0 <= value <= 1.0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    """argparse type: a finite number of at least 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = -1.0
-    if not 0.0 <= value < np.inf:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_unit_interval = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_nonnegative_float = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite non-negative number")
 
 
 _NAMED = {"hmzi": make_h_mzi, "h3robust": make_h3_robust}
@@ -227,17 +202,12 @@ def cmd_interrogation(args: argparse.Namespace) -> int:
     frag = hexagon(theta, nu=args.nu_min)
     report = {"theta": theta, "crossover_nu": curve.crossover_nu,
               "hexagon_equivalence_deviation": frag.equivalence_deviation}
-    # reflectivity sweep with the dark-count/mismatch band; the band
-    # degenerates to the ideal curve when --band is 0
+    # reflectivity sweep with the dark-count/mismatch band; at --band 0
+    # both branches are bitwise the ideal curve
     pts = []
     for r in np.linspace(0.0, args.r_max, args.r_steps):
-        ideal = eta_ideal(r)
-        if args.band > 0:
-            branches = [eta_noisy(r, args.band, args.band, args.band, sign)
-                        for sign in (+1, -1)]
-            pts.append((float(r), ideal, min(branches), max(branches)))
-        else:
-            pts.append((float(r), ideal, ideal, ideal))
+        branches = [eta_noisy(r, args.band, args.band, args.band, sign) for sign in (+1, -1)]
+        pts.append((float(r), eta_ideal(r), min(branches), max(branches)))
     run.write_text("robustness_curve.csv", ser.robustness_curve_csv(curve))
     run.write_json("hexagon.json", ser.hexagon_to_dict(frag))
     run.write_json("interrogation.json", report)
@@ -253,8 +223,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
     run = _Run(args, "sample")
     spec = load_inequality(args.inequality)
     report = haar_experiment(spec, args.d, args.num_sets, seed=args.seed)
-    run.write_json("sampling.json", ser.sampling_to_dict(report, include_values=False))
-    run.write_text("histogram.csv", ser.histogram_csv(report.values, bins=args.bins))
+    histogram = ser.histogram_csv(report.values, bins=args.bins)
+    run.write_json("sampling.json", ser.sampling_to_dict(report))
+    run.write_text("histogram.csv", histogram)
     run.finish()
     print(f"max={report.max_value:.6f} violations={report.violation_count}/{report.num_sets}")
     return EXIT_OK

@@ -152,7 +152,10 @@ class WitnessVerdict:
     coherence_witnessed: bool
     min_dimension: int
     thresholds_used: tuple[tuple[int, float], ...]
-    min_dimension_known: bool = True
+
+    @property
+    def min_dimension_known(self) -> bool:
+        return bool(self.thresholds_used)
 
 
 def make_hn(n: int) -> InequalitySpec:
@@ -264,12 +267,9 @@ def classify(
     if any(thr[k][0] >= thr[k + 1][0] for k in range(len(thr) - 1)):
         raise ValidationError("thresholds must be sorted strictly ascending in dimension")
     witnessed = value > spec.classical_bound + slack
-    if not thr:
-        return WitnessVerdict(value, witnessed, 1, thr, min_dimension_known=False)
     exceeded = [d for d, vmax in thr
                 if value > vmax + slack + THRESHOLD_ROUNDING * max(1.0, abs(vmax))]
-    min_dim = 1 + max(exceeded) if exceeded else 1
-    return WitnessVerdict(value, witnessed, min_dim, thr)
+    return WitnessVerdict(value, witnessed, 1 + max(exceeded, default=0), thr)
 
 
 def qubit_triple_max_eigenvalue(theta, alpha, phi):

@@ -754,8 +754,14 @@ class CountRecord:
 
     counts: tuple[int, ...]
     total_trials: int
-    estimated_probability: tuple[float, ...]
-    sigma_c: tuple[float, ...]
+
+    @property
+    def estimated_probability(self) -> tuple[float, ...]:
+        return tuple(k / self.total_trials for k in self.counts)
+
+    @property
+    def sigma_c(self) -> tuple[float, ...]:
+        return tuple(float(np.sqrt(k)) / self.total_trials for k in self.counts)
 
 
 @dataclass(frozen=True)
@@ -797,10 +803,16 @@ class AngleNoise:
 class DispersionResult:
     """Envelope of an inequality value under angle-setting errors."""
 
-    min_value: float
-    max_value: float
     values: np.ndarray
     ideal_value: float
+
+    @property
+    def min_value(self) -> float:
+        return float(self.values.min())
+
+    @property
+    def max_value(self) -> float:
+        return float(self.values.max())
 
     @property
     def half_width(self) -> float:
@@ -881,15 +893,7 @@ def overlap_via_counts(
     kept = int(rng.binomial(trials, 1.0 - loss)) if loss > 0 else trials
     hits = int(rng.binomial(kept, p))
     dark_hits = int(rng.binomial(trials - kept, dark)) if dark > 0 and trials > kept else 0
-    port0 = hits + dark_hits
-    port_rest = kept - hits
-    n = trials
-    return CountRecord(
-        counts=(port0, port_rest),
-        total_trials=n,
-        estimated_probability=(port0 / n, port_rest / n),
-        sigma_c=(float(np.sqrt(port0)) / n, float(np.sqrt(port_rest)) / n),
-    )
+    return CountRecord(counts=(hits + dark_hits, kept - hits), total_trials=trials)
 
 
 def estimate_inequality_via_counts(
@@ -985,12 +989,7 @@ def dispersion(
     ideal = np.stack([amplitudes(p) for p in params])
     values = _ordered_values(weights, drawn[:, 0], drawn[:, 1])
     values.setflags(write=False)
-    return DispersionResult(
-        min_value=float(values.min()),
-        max_value=float(values.max()),
-        values=values,
-        ideal_value=float(_ordered_values(weights, ideal, ideal)),
-    )
+    return DispersionResult(values=values, ideal_value=float(_ordered_values(weights, ideal, ideal)))
 
 
 def _ordered_values(weights: np.ndarray, prep: np.ndarray, meas: np.ndarray) -> np.ndarray:
@@ -1228,10 +1227,16 @@ def fidelity(t: np.ndarray, t_exp: np.ndarray) -> float:
 class FidelityStudy:
     """Fidelity distribution of a mesh with mis-set phases."""
 
-    mean: float
-    std: float
     samples: np.ndarray
     sigma_rad: float
+
+    @property
+    def mean(self) -> float:
+        return float(self.samples.mean())
+
+    @property
+    def std(self) -> float:
+        return float(self.samples.std())
 
 
 def perturbed_mesh_fidelity_study(
@@ -1273,5 +1278,4 @@ def perturbed_mesh_fidelity_study(
     # `fidelity` of each (target, noisy) pair
     samples = (np.abs(targets) * np.abs(noisy)).reshape(n_unitaries, -1).sum(axis=1) / modes
     samples.setflags(write=False)
-    return FidelityStudy(mean=float(samples.mean()), std=float(samples.std()),
-                         samples=samples, sigma_rad=sigma_rad)
+    return FidelityStudy(samples=samples, sigma_rad=sigma_rad)

@@ -41,6 +41,7 @@ __all__ = [
     "sdp_upper_bound",
     "haar_experiment",
     "dimension_thresholds",
+    "thresholds_for",
     "uniform_pure_ensemble",
 ]
 
@@ -98,10 +99,16 @@ class SamplingReport:
 
     n: int
     d: int
-    num_sets: int
     values: np.ndarray
-    max_value: float
     violation_count: int
+
+    @property
+    def num_sets(self) -> int:
+        return self.values.size
+
+    @property
+    def max_value(self) -> float:
+        return float(self.values.max())
 
 
 def _gram(psi: np.ndarray) -> np.ndarray:
@@ -342,24 +349,45 @@ def haar_experiment(
     return SamplingReport(
         n=spec.n,
         d=d,
-        num_sets=num_sets,
         values=values,
-        max_value=float(values.max()),
         violation_count=int(np.sum(values > spec.classical_bound)),
     )
 
 
+# Largest gap between the ascent and the quadratic bound at which a
+# threshold cell reports that the two agree.
+_AGREE_TOL = 1e-3
+
+
 @dataclass(frozen=True)
 class ThresholdCell:
-    """One (n, d) cell of the dimension-threshold table."""
+    """One (n, d) cell of the dimension-threshold table.
+
+    ``max_value`` is the quadratic bound when there is one, else the
+    ascent value; ``method`` names the routes that ran, and ``agree`` is
+    None unless both did.
+    """
 
     n: int
     d: int
-    max_value: float
-    method: str  # "ascent", "quadratic-bound", or "both"
     lower_bound: float | None
     upper_bound: float | None
-    agree: bool | None  # lower/upper within 1e-3 when both present
+
+    @property
+    def max_value(self) -> float:
+        return self.lower_bound if self.upper_bound is None else self.upper_bound
+
+    @property
+    def method(self) -> str:
+        if self.upper_bound is None:
+            return "ascent"
+        return "quadratic-bound" if self.lower_bound is None else "both"
+
+    @property
+    def agree(self) -> bool | None:
+        if self.lower_bound is None or self.upper_bound is None:
+            return None
+        return bool(abs(self.lower_bound - self.upper_bound) <= _AGREE_TOL)
 
 
 def dimension_thresholds(
@@ -367,13 +395,12 @@ def dimension_thresholds(
     d_max: int | None = None,
     restarts: int = 200,
     seed: int = 0,
-    agree_tol: float = 1e-3,
 ) -> list[ThresholdCell]:
     """Per-(n, d) maxima of h_n, combining ascent and the quadratic bound.
 
     The ascent path runs for n <= 12 (it returns explicit states); the
     quadratic bound runs wherever defined (n >= 4). Each cell records which
-    method produced it and whether the two agree within ``agree_tol``. For
+    method produced it and whether the two agree within 1e-3. For
     d >= n the maximum is constant in d, so those cells reuse the d = n-1
     ascent and bound. This is the cross-check table; `thresholds_for`
     gives the maxima alone without running any ascent.
@@ -397,15 +424,7 @@ def dimension_thresholds(
                     lower = maximize_pure(spec, d, restarts=restarts, seed=sub).value
             if n >= 4 and d < n:
                 upper = sdp_upper_bound(n, d).value
-            if lower is not None and upper is not None:
-                agree = bool(abs(lower - upper) <= agree_tol)
-                value, method = upper, "both"
-            elif upper is not None:
-                agree, value, method = None, upper, "quadratic-bound"
-            else:
-                agree, value, method = None, lower, "ascent"
-            cells.append(ThresholdCell(n=n, d=d, max_value=value, method=method,
-                                       lower_bound=lower, upper_bound=upper, agree=agree))
+            cells.append(ThresholdCell(n=n, d=d, lower_bound=lower, upper_bound=upper))
     return cells
 
 

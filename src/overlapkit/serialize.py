@@ -48,6 +48,8 @@ __all__ = [
     "robustness_curve_csv",
     "threshold_table_csv",
     "histogram_csv",
+    "count_records_csv",
+    "efficiency_curve_csv",
     "sweeps_from_csv",
 ]
 
@@ -164,17 +166,15 @@ def sdp_to_dict(r: SdpResult) -> dict:
     }
 
 
-def sampling_to_dict(r: SamplingReport, include_values: bool = True) -> dict:
-    out = {
+def sampling_to_dict(r: SamplingReport) -> dict:
+    """Summary of a sampling run; the values themselves go to `histogram_csv`."""
+    return {
         "n": r.n,
         "d": r.d,
         "num_sets": r.num_sets,
         "max_value": r.max_value,
         "violation_count": r.violation_count,
     }
-    if include_values:
-        out["values"] = [float(v) for v in r.values]
-    return out
 
 
 def mesh_config_to_dict(c: MeshConfig) -> dict:
@@ -263,9 +263,9 @@ def _csv_text(rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def overlap_matrix_csv(o: OverlapSet, labels: Sequence[str] | None = None) -> str:
+def overlap_matrix_csv(o: OverlapSet) -> str:
     """Matrix layout with one row and column per state."""
-    names = list(labels) if labels is not None else [f"state_{i}" for i in range(o.n)]
+    names = [f"state_{i}" for i in range(o.n)]
     rows = [[""] + names]
     for i in range(o.n):
         rows.append([names[i]] + [repr(float(v)) for v in o.r[i]])
@@ -299,7 +299,17 @@ def threshold_table_csv(cells: Sequence[ThresholdCell]) -> str:
 
 
 def histogram_csv(values: np.ndarray, bins: int = 50) -> str:
-    counts, edges = np.histogram(np.asarray(values), bins=bins)
+    """``bins`` equal bins over the range of the values.
+
+    A range too narrow for ``bins`` distinct edges (values equal to within
+    a few ulps) is widened by 0.5 on each side, as numpy widens an empty one.
+    """
+    values = np.asarray(values)
+    lo, hi = values.min(), values.max()
+    edges = np.linspace(lo, hi, bins + 1)
+    if np.any(edges[:-1] >= edges[1:]):
+        lo, hi = lo - 0.5, hi + 0.5
+    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     rows = [["bin_left", "bin_right", "count"]]
     rows += [[repr(float(edges[k])), repr(float(edges[k + 1])), int(counts[k])]
              for k in range(len(counts))]

@@ -1,9 +1,10 @@
 """Quantum-state primitives: pure and mixed states, overlaps, noise, sampling.
 
 All values are immutable after construction (arrays are frozen), so they can
-be shared freely across threads. Randomness always flows through an explicit
-64-bit seed or a ``numpy.random.Generator``; see `make_rng` for the stream
-convention.
+be shared freely across threads. The validation tolerances are fixed
+module constants, not parameters. Randomness always flows through an
+explicit 64-bit seed or a ``numpy.random.Generator``; see `make_rng` for
+the stream convention.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ import numpy as np
 __all__ = [
     "ValidationError",
     "NumericalError",
-    "Tolerances",
-    "DEFAULT_TOL",
     "PureState",
     "DensityMatrix",
     "overlap",
     "depolarize",
     "haar_random_pure",
+    "haar_random_pure_batch",
     "max_eigenvalue",
     "basis_state",
     "qubit_state",
@@ -40,36 +40,15 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to meet its accuracy contract."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances used for validation throughout the package.
-
-    Kept in one record so tests can tighten or loosen them uniformly.
-
-    Attributes
-    ----------
-    unit_norm : float
-        Allowed deviation of a pure state's squared norm from 1.
-    hermitian : float
-        Allowed elementwise deviation from Hermiticity.
-    trace : float
-        Allowed deviation of a density matrix trace from 1.
-    eigenvalue_floor : float
-        Most negative eigenvalue accepted before a matrix is rejected as
-        non-positive; eigenvalues in ``[eigenvalue_floor, 0)`` are clamped
-        to zero and the trace is renormalized.
-    overlap_range : float
-        Slack allowed on the [0, 1] range of an overlap before clamping.
-    """
-
-    unit_norm: float = 1e-12
-    hermitian: float = 1e-12
-    trace: float = 1e-12
-    eigenvalue_floor: float = -1e-10
-    overlap_range: float = 1e-12
-
-
-DEFAULT_TOL = Tolerances()
+# Validation tolerances. A pure state's squared norm may miss 1, and a
+# density matrix its Hermiticity and unit trace, by 1e-12; eigenvalues in
+# [_EIGENVALUE_FLOOR, 0) are clamped to zero and the trace renormalized;
+# an overlap may leave [0, 1] by _OVERLAP_RANGE before it is clamped.
+_UNIT_NORM_TOL = 1e-12
+_HERMITIAN_TOL = 1e-12
+_TRACE_TOL = 1e-12
+_EIGENVALUE_FLOOR = -1e-10
+_OVERLAP_RANGE = 1e-12
 
 SeedLike = Union[int, np.random.Generator]
 
@@ -126,8 +105,8 @@ class PureState:
         if amps.ndim != 1 or amps.size < 1:
             raise ValidationError("amplitudes must be a non-empty 1-d complex vector")
         norm_sq = float(np.vdot(amps, amps).real)
-        if not abs(norm_sq - 1.0) <= DEFAULT_TOL.unit_norm:  # also rejects NaN
-            raise ValidationError(f"squared norm is {norm_sq!r}, expected 1 within {DEFAULT_TOL.unit_norm}")
+        if not abs(norm_sq - 1.0) <= _UNIT_NORM_TOL:  # also rejects NaN
+            raise ValidationError(f"squared norm is {norm_sq!r}, expected 1 within {_UNIT_NORM_TOL}")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
     @classmethod
@@ -147,17 +126,13 @@ class PureState:
         """Rank-one projector onto this state."""
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def same_ray(self, other: "PureState", tol: float = 1e-12) -> bool:
-        """Equality up to global phase: overlap equal to 1 within ``tol``."""
-        return abs(overlap(self, other) - 1.0) <= tol
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace complex matrix.
 
     Construction repairs tiny numerical negativity: eigenvalues in
-    ``[eigenvalue_floor, 0)`` are clamped to zero and the trace is
+    ``[-1e-10, 0)`` are clamped to zero and the trace is
     renormalized, which keeps downstream iterative solvers stable. Anything
     more negative is rejected.
     """
@@ -171,15 +146,15 @@ class DensityMatrix:
         if not np.all(np.isfinite(m)):
             raise ValidationError("matrix has non-finite entries")
         herm_err = float(np.max(np.abs(m - m.conj().T)))
-        if not herm_err <= DEFAULT_TOL.hermitian:
+        if not herm_err <= _HERMITIAN_TOL:
             raise ValidationError(f"matrix deviates from Hermiticity by {herm_err:g}")
         m = (m + m.conj().T) / 2.0
         tr = float(np.trace(m).real)
-        if not abs(tr - 1.0) <= DEFAULT_TOL.trace:
-            raise ValidationError(f"trace is {tr!r}, expected 1 within {DEFAULT_TOL.trace}")
+        if not abs(tr - 1.0) <= _TRACE_TOL:
+            raise ValidationError(f"trace is {tr!r}, expected 1 within {_TRACE_TOL}")
         w = np.linalg.eigvalsh(m)
         w_min = float(w[0])
-        if w_min < DEFAULT_TOL.eigenvalue_floor:
+        if w_min < _EIGENVALUE_FLOOR:
             raise ValidationError(f"matrix has eigenvalue {w_min:g}, below the PSD floor")
         if w_min < 0.0:
             # PSD repair: clamp the offending eigenvalues, renormalize trace.
@@ -216,7 +191,7 @@ def _as_density_array(x: StateLike) -> np.ndarray:
     raise ValidationError(f"expected PureState or DensityMatrix, got {type(x).__name__}")
 
 
-def overlap(a: StateLike, b: StateLike, tol: Tolerances = DEFAULT_TOL) -> float:
+def overlap(a: StateLike, b: StateLike) -> float:
     """Two-state overlap Tr(a b), in [0, 1].
 
     For pure inputs this equals ``|<a|b>|^2``. The implementation is
@@ -235,11 +210,11 @@ def overlap(a: StateLike, b: StateLike, tol: Tolerances = DEFAULT_TOL) -> float:
         # Tr(AB) = sum_ij conj(A_ij) B_ij for Hermitian A.
         val = float(np.vdot(ma, mb).real)
     if val < 0.0:
-        if val < -tol.overlap_range:
+        if val < -_OVERLAP_RANGE:
             raise NumericalError(f"overlap {val!r} fell below 0 beyond tolerance")
         val = 0.0
     elif val > 1.0:
-        if val > 1.0 + tol.overlap_range:
+        if val > 1.0 + _OVERLAP_RANGE:
             raise NumericalError(f"overlap {val!r} exceeded 1 beyond tolerance")
         val = 1.0
     return float(val)
@@ -280,18 +255,18 @@ def haar_random_pure_batch(num: int, n: int, d: int, rng: np.random.Generator) -
     return z / np.linalg.norm(z, axis=2, keepdims=True)
 
 
-def max_eigenvalue(h: Union[np.ndarray, DensityMatrix], tol: Tolerances = DEFAULT_TOL) -> float:
+def max_eigenvalue(h: Union[np.ndarray, DensityMatrix]) -> float:
     """Largest eigenvalue of a Hermitian matrix.
 
-    Rejects inputs whose anti-Hermitian part exceeds ``tol.hermitian``
-    relative to the matrix scale.
+    Rejects inputs whose anti-Hermitian part exceeds 1e-12 relative to the
+    matrix scale.
     """
     m = h.entries if isinstance(h, DensityMatrix) else np.asarray(h, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("expected a square matrix")
     scale = max(1.0, float(np.max(np.abs(m))))
     herm_err = float(np.max(np.abs(m - m.conj().T)))
-    if herm_err > tol.hermitian * scale:
+    if herm_err > _HERMITIAN_TOL * scale:
         raise ValidationError(f"matrix deviates from Hermiticity by {herm_err:g}")
     return float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[-1])
 

@@ -12,6 +12,7 @@ from overlapkit import cli
 from overlapkit import serialize as ser
 from overlapkit.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_angle
 from overlapkit.inequalities import OverlapSet, make_h_mzi, make_hn
+from overlapkit.interrogation import eta_ideal
 from overlapkit.mesh import clements_layout, MeshCell, MeshConfig, decompose, haar_random_unitary, pentagon_qubit_set
 from overlapkit.optimize import SamplingReport
 from overlapkit.states import ValidationError, basis_state, qubit_state
@@ -230,6 +231,34 @@ class TestSampleBins:
         assert "--bins" in capsys.readouterr().err
 
 
+class TestArgumentTypes:
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--inequality", "h4", "--d", "2", "--bins", "x"],
+         "argument --bins: expected a positive integer, got 'x'"),
+        (["interrogation", "--r-steps", "-1"],
+         "argument --r-steps: expected a non-negative integer, got '-1'"),
+        (["interrogation", "--r-max", "nan"],
+         "argument --r-max: expected a number in [0, 1], got 'nan'"),
+        (["evaluate", "--input", "o.json", "--inequality", "h4", "--slack", "inf"],
+         "argument --slack: expected a finite non-negative number, got 'inf'"),
+        (["mesh", "decompose", "--tol", "abc"],
+         "argument --tol: expected a finite non-negative number, got 'abc'"),
+    ])
+    def test_error_messages(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
+    @pytest.mark.parametrize("convert, text, value", [
+        (cli._positive_int, "7", 7), (cli._nonnegative_int, "0", 0),
+        (cli._unit_interval, "1", 1.0), (cli._nonnegative_float, "0.25", 0.25),
+    ])
+    def test_accepted_values_keep_their_type(self, convert, text, value):
+        got = convert(text)
+        assert got == value and type(got) is type(value)
+
+
 class TestColdStart:
     @staticmethod
     def fresh_interpreter(code: str, *args: str) -> str:
@@ -374,6 +403,15 @@ class TestInterrogationSteps:
 
 
 class TestInterrogationBand:
+    def test_zero_band_bytes(self, tmp_path):
+        assert main(["interrogation", "--r-steps", "11", "--r-max", "1", "--band", "0",
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        rows = ["r,eta_ideal,eta_band_low,eta_band_high"]
+        for r in np.linspace(0.0, 1.0, 11):
+            eta = repr(float(eta_ideal(r)))
+            rows.append(f"{float(r)!r},{eta},{eta},{eta}")
+        assert (tmp_path / "efficiency_curve.csv").read_text() == "\n".join(rows) + "\n"
+
     @pytest.mark.parametrize("band", ["-1", "nan", "inf"])
     def test_negative_or_non_finite_band_is_an_argparse_error(self, tmp_path, capsys, band):
         with pytest.raises(SystemExit) as exc:
@@ -542,14 +580,24 @@ class TestSample:
         assert (d1 / "sampling.json").read_bytes() == (d2 / "sampling.json").read_bytes()
         assert (d1 / "histogram.csv").read_bytes() == (d2 / "histogram.csv").read_bytes()
 
+    @pytest.mark.parametrize("inequality", ["h5", "h3"])
+    def test_one_dimension_histogram(self, tmp_path, inequality):
+        # every value is 1 to within a few ulps: too narrow a range for 50 bins
+        rc = main(["sample", "--inequality", inequality, "--d", "1", "--num-sets", "100",
+                   "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        rows = (tmp_path / "histogram.csv").read_text().splitlines()[1:]
+        assert len(rows) == 50 and sum(int(r.split(",")[2]) for r in rows) == 100
+        assert json.loads((tmp_path / "sampling.json").read_text())["num_sets"] == 100
+
     def test_matches_the_full_chunk_route_byte_for_byte(self, tmp_path):
         rc = main(["sample", "--inequality", "h6", "--d", "4", "--num-sets", "20000", "--seed", "1",
                    "--out-dir", str(tmp_path)])
         assert rc == EXIT_OK
         values = haar_values_full_chunk(make_hn(6), 4, 20000, 1)
-        report = SamplingReport(n=6, d=4, num_sets=20000, values=values, max_value=float(values.max()),
+        report = SamplingReport(n=6, d=4, values=values,
                                 violation_count=int(np.sum(values > make_hn(6).classical_bound)))
-        assert (tmp_path / "sampling.json").read_text() == ser.dumps(ser.sampling_to_dict(report, include_values=False))
+        assert (tmp_path / "sampling.json").read_text() == ser.dumps(ser.sampling_to_dict(report))
         assert (tmp_path / "histogram.csv").read_text() == ser.histogram_csv(values, bins=50)
 
 
@@ -860,6 +908,21 @@ class TestSerializationRoundtrips:
     def test_malformed_unitary_rejected(self, record):
         with pytest.raises(ValidationError):
             ser.unitary_from_dict(record)
+
+    @pytest.mark.parametrize("bins", [1, 7, 50])
+    def test_histogram_is_numpys_when_the_range_allows(self, bins):
+        values = np.random.default_rng(bins).normal(size=1000)
+        counts, edges = np.histogram(values, bins=bins)
+        rows = [["bin_left", "bin_right", "count"]] + [
+            [repr(float(edges[k])), repr(float(edges[k + 1])), str(counts[k])] for k in range(bins)]
+        assert ser.histogram_csv(values, bins=bins) == "".join(",".join(r) + "\n" for r in rows)
+
+    @pytest.mark.parametrize("values", [[2.0, 2.0], [1.0, np.nextafter(1.0, 2.0)]])
+    def test_histogram_widens_a_range_too_narrow_for_its_bins(self, values):
+        rows = ser.histogram_csv(np.array(values), bins=50).splitlines()[1:]
+        assert float(rows[0].split(",")[0]) == values[0] - 0.5
+        assert float(rows[-1].split(",")[1]) == values[1] + 0.5
+        assert sum(int(r.split(",")[2]) for r in rows) == 2
 
     def test_overlap_matrix_csv_shape(self):
         o = OverlapSet.from_states([basis_state(2, 0), basis_state(2, 1)])

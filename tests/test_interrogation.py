@@ -66,6 +66,11 @@ class TestEtaNoisy:
         for r in np.linspace(0, 0.99, 23):
             assert eta_noisy(r, 0.0, 0.0, 0.0) == pytest.approx(eta_ideal(r), abs=1e-14)
 
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_zero_noise_is_bitwise_the_ideal_curve(self, sign):
+        for r in [*np.linspace(0.0, 0.99, 1001), 1.0]:
+            assert eta_noisy(r, 0.0, 0.0, 0.0, sign).hex() == eta_ideal(r).hex()
+
     def test_r_zero(self):
         n1, n2 = 0.004, 0.002
         assert eta_noisy(0.0, 0.0, n1, n2) == pytest.approx(n1 / (1 + n1 + n2), abs=1e-14)
