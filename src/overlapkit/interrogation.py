@@ -74,7 +74,14 @@ class HexagonFragment:
     theta: float
     nu: float
     states: tuple[DensityMatrix, ...]
-    equivalence_deviation: float
+
+    @property
+    def equivalence_deviation(self) -> float:
+        half_eye = np.eye(2) / 2.0
+        return max(
+            float(np.linalg.norm((self.states[i].entries + self.states[i + 3].entries) / 2.0 - half_eye))
+            for i in range(3)
+        )
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,14 @@ class RobustnessCurve:
 
     theta: float
     points: tuple[tuple[float, float, float], ...]  # (nu, eta_quantum, eta_nc)
-    crossover_nu: float | None
+
+    @property
+    def crossover_nu(self) -> float | None:
+        """`crossover_nu` of ``theta``, or None without a contextual gap."""
+        try:
+            return crossover_nu(self.theta)
+        except ValidationError:
+            return None
 
 
 def interrogation_point(
@@ -206,13 +220,7 @@ def hexagon(theta: float, nu: float = 0.0) -> HexagonFragment:
         qubit_state(theta + np.pi / 2),  # |theta_perp>
         qubit_state(-theta + np.pi / 2),
     )
-    states = tuple(depolarize(p, nu) for p in pures)
-    half_eye = np.eye(2) / 2.0
-    deviation = max(
-        float(np.linalg.norm((states[i].entries + states[i + 3].entries) / 2.0 - half_eye))
-        for i in range(3)
-    )
-    return HexagonFragment(theta=theta, nu=nu, states=states, equivalence_deviation=deviation)
+    return HexagonFragment(theta=theta, nu=nu, states=tuple(depolarize(p, nu) for p in pures))
 
 
 def h3_robust(frag: HexagonFragment) -> float:
@@ -229,8 +237,4 @@ def robustness_curve(theta: float, nu_grid) -> RobustnessCurve:
     pts = []
     for nu in np.asarray(nu_grid, dtype=float):
         pts.append((float(nu), eta_quantum_depolarized(theta, nu), eta_nc_bound(theta, nu)))
-    try:
-        cross = crossover_nu(theta)
-    except ValidationError:
-        cross = None
-    return RobustnessCurve(theta=theta, points=tuple(pts), crossover_nu=cross)
+    return RobustnessCurve(theta=theta, points=tuple(pts))

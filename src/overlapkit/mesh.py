@@ -18,6 +18,7 @@ al., Optica 3, 1460 (2016).
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -82,8 +83,19 @@ class CalibrationCoverageError(ValidationError):
     """Sweep does not cover enough induced phase to identify the model."""
 
 
+_TWO_PI = 2.0 * math.pi
+
+
 def _mod_2pi(x: float) -> float:
-    return float(np.mod(x, 2.0 * np.pi))
+    """``x`` reduced to [0, 2 pi), as ``np.mod`` does; a non-finite or
+    non-real angle is a validation error."""
+    try:
+        finite = math.isfinite(x)
+    except (TypeError, OverflowError):  # not a real number, or an int past the float range
+        finite = False
+    if not finite:
+        raise ValidationError(f"mesh angles must be finite real numbers, got {x!r}")
+    return float(x) % _TWO_PI
 
 
 @dataclass(frozen=True)
@@ -144,10 +156,15 @@ class MeshConfig:
 
 
 def mzi_transfer(theta: float, phi: float) -> np.ndarray:
-    """Two-mode transfer matrix of one cell (see module docstring)."""
-    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
-    pre = 1j * np.exp(1j * theta / 2.0)
-    ephi = np.exp(1j * phi)
+    """Two-mode transfer matrix of one cell (see module docstring).
+
+    The factors come from `math`/`cmath`, which agree bitwise with numpy's
+    scalar sin, cos and exp; the prefactor multiplies the 2 x 2 array as a
+    numpy array product, which rounds differently from scalar products.
+    """
+    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
+    pre = 1j * cmath.exp(1j * theta / 2.0)
+    ephi = cmath.exp(1j * phi)
     return pre * np.array([[ephi * s, c], [ephi * c, -s]], dtype=np.complex128)
 
 
@@ -156,8 +173,8 @@ def _transfers(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
     Bit for bit the same matrices: the prefactor multiplies out of place,
     as the scalar form does (numpy's in-place complex product rounds
-    differently). `decompose` keeps calling the scalar form, which is
-    faster for one cell.
+    differently). `decompose` builds one cell at a time with the scalar
+    form, which is faster for one cell.
     """
     s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
     pre = 1j * np.exp(1j * theta / 2.0)
@@ -223,33 +240,24 @@ def compose(config: MeshConfig) -> np.ndarray:
     )[0]
 
 
+def _haar_from_ginibre(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Haar unitaries from standard normal parts of shape (..., m, m).
+
+    QR of the complex Ginibre matrix ``(re + i im) / sqrt(2)``, then each
+    column of Q rephased by its diagonal entry of R (Mezzadri 2007). A
+    stack runs as one QR call, bitwise the same as one call per matrix.
+    """
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_random_unitary(m: int, seed) -> np.ndarray:
     """Haar-distributed m x m unitary (QR of a complex Ginibre matrix)."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValidationError(f"unitary size must be a positive integer, got {m!r}")
     rng = make_rng(seed)
-    z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
-def _null_from_right(u: np.ndarray, row: int, col: int) -> tuple[float, float]:
-    """Angles so that (u @ T(theta, phi)^dagger)[row, col] vanishes."""
-    a, b = u[row, col], u[row, col + 1]
-    if abs(a) < 1e-300:
-        return np.pi, 0.0
-    z = -b / a
-    phi = float(-np.angle(z)) if abs(z) > 0 else 0.0
-    return 2.0 * np.arctan(abs(z)), phi
-
-
-def _null_from_left(u: np.ndarray, row: int, col: int) -> tuple[float, float]:
-    """Angles so that (T(theta, phi) @ u)[row, col] vanishes (T on rows row-1, row)."""
-    a, b = u[row - 1, col], u[row, col]
-    if abs(b) < 1e-300:
-        return np.pi, 0.0
-    theta = 2.0 * np.arctan2(abs(a), abs(b))
-    phi = float(np.angle(b) - np.angle(a)) if abs(a) > 0 else 0.0
-    return theta, phi
+    return _haar_from_ginibre(rng.standard_normal((m, m)), rng.standard_normal((m, m)))
 
 
 @lru_cache(maxsize=64)
@@ -292,41 +300,65 @@ def decompose(u: np.ndarray, atol: float = 1e-10) -> MeshConfig:
     if not unit_err <= max(atol, 1e-10):  # also rejects NaN
         raise ValidationError(f"matrix deviates from unitarity by {unit_err:g}")
 
+    # Each cell nulls one entry of `work` and updates two of its columns
+    # (right) or rows (left) in place through precomputed views. Angles are
+    # numpy's arctan/arctan2 of numpy scalar quotients and moduli, as
+    # `_null_stack` computes them elementwise.
     work = u.copy()
+    column_pairs = [work[:, k:k + 2] for k in range(m - 1)]
+    row_pairs = [work[k:k + 2] for k in range(m - 1)]
     right_ops: list[tuple[int, float, float]] = []  # (top mode, theta, phi)
     left_ops: list[tuple[int, float, float]] = []
+    arctan, arctan2 = np.arctan, np.arctan2
     for diag in range(1, m):
         if diag % 2 == 1:
             for j in range(diag):
                 row, col = m - 1 - j, diag - 1 - j
-                theta, phi = _null_from_right(work, row, col)
-                block = mzi_transfer(theta, phi).conj().T
-                work[:, col:col + 2] = work[:, col:col + 2] @ block
+                a = work[row, col]
+                if abs(a) < 1e-300:
+                    theta, phi = math.pi, 0.0
+                else:
+                    z = -work[row, col + 1] / a
+                    abs_z = abs(z)
+                    theta = 2.0 * float(arctan(abs_z))
+                    phi = -float(arctan2(z.imag, z.real)) if abs_z > 0 else 0.0
+                pair = column_pairs[col]
+                pair[...] = pair @ mzi_transfer(theta, phi).conj().T
                 right_ops.append((col, theta, phi))
         else:
             for j in range(1, diag + 1):
                 row, col = m + j - diag - 1, j - 1
-                theta, phi = _null_from_left(work, row, col)
-                block = mzi_transfer(theta, phi)
-                work[row - 1:row + 1, :] = block @ work[row - 1:row + 1, :]
+                a, b = work[row - 1, col], work[row, col]
+                abs_a, abs_b = abs(a), abs(b)
+                if abs_b < 1e-300:
+                    theta, phi = math.pi, 0.0
+                else:
+                    # one arctan2 call for three angles, each as a call of its own gives it
+                    half, arg_b, arg_a = arctan2((abs_a, b.imag, a.imag), (abs_b, b.real, a.real)).tolist()
+                    theta = 2.0 * half
+                    phi = arg_b - arg_a if abs_a > 0 else 0.0
+                pair = row_pairs[row - 1]
+                pair[...] = mzi_transfer(theta, phi) @ pair
                 left_ops.append((row - 1, theta, phi))
 
     off = work - np.diag(np.diag(work))
     if float(np.max(np.abs(off))) > 1e-8:
         raise NumericalError("nulling failed to reach a diagonal matrix")
-    phases = np.diag(work).copy()
+    phases = np.diag(work).tolist()
 
     # Commute the diagonal through the left factors:
     # T(theta, phi)^dagger diag(d1, d2) = diag(d1', d2') T(theta, phi') with
     # phi' = arg(d1 conj(d2)), d1' = -e^{-i(theta+phi)} d2, d2' = -e^{-i theta} d2.
     # Innermost left factor commutes first, which already yields the
-    # remaining factors in application order.
+    # remaining factors in application order. Python complex products and
+    # `cmath.exp` round as numpy's scalar ones do.
     physical: list[tuple[int, float, float]] = list(right_ops)
     for mode, theta, phi in reversed(left_ops):
         d1, d2 = phases[mode], phases[mode + 1]
-        phi_new = float(np.angle(d1 * np.conj(d2)))
-        phases[mode] = -np.exp(-1j * (theta + phi)) * d2
-        phases[mode + 1] = -np.exp(-1j * theta) * d2
+        w = d1 * d2.conjugate()
+        phi_new = float(arctan2(w.imag, w.real))
+        phases[mode] = -cmath.exp(-1j * (theta + phi)) * d2
+        phases[mode + 1] = -cmath.exp(-1j * theta) * d2
         physical.append((mode, theta, phi_new))
 
     slots = _greedy_columns(m, tuple(mode for mode, _, _ in physical))
@@ -335,7 +367,7 @@ def decompose(u: np.ndarray, atol: float = 1e-10) -> MeshConfig:
     return MeshConfig(
         modes=m,
         cells=tuple(cells),
-        output_phases=tuple(float(np.angle(p)) for p in phases),
+        output_phases=tuple(float(arctan2(p.imag, p.real)) for p in phases),
     )
 
 
@@ -366,33 +398,34 @@ def _null_stack(us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     work = np.array(us, dtype=np.complex128)
     right_ops: list[tuple[int, np.ndarray, np.ndarray]] = []
     left_ops: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for diag in range(1, m):
-        if diag % 2 == 1:
-            for j in range(diag):
-                row, col = m - 1 - j, diag - 1 - j
-                a, c = work[:, row, col], work[:, row, col + 1]
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # a zero pivot divides by zero below; `tiny` overrides what that gives
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for diag in range(1, m):
+            if diag % 2 == 1:
+                for j in range(diag):
+                    row, col = m - 1 - j, diag - 1 - j
+                    a, c = work[:, row, col], work[:, row, col + 1]
                     z = -c / a
-                abs_z = _abs(z)
-                theta = 2.0 * np.arctan(abs_z)
-                phi = np.where(abs_z > 0, -np.angle(z), 0.0)
-                tiny = _abs(a) < 1e-300
-                theta, phi = np.where(tiny, np.pi, theta), np.where(tiny, 0.0, phi)
-                block = _transfers(theta, phi).conj().swapaxes(-1, -2)
-                work[:, :, col:col + 2] = work[:, :, col:col + 2] @ block
-                right_ops.append((col, theta, phi))
-        else:
-            for j in range(1, diag + 1):
-                row, col = m + j - diag - 1, j - 1
-                a, c = work[:, row - 1, col], work[:, row, col]
-                abs_a, abs_c = _abs(a), _abs(c)
-                theta = 2.0 * np.arctan2(abs_a, abs_c)
-                phi = np.where(abs_a > 0, np.angle(c) - np.angle(a), 0.0)
-                tiny = abs_c < 1e-300
-                theta, phi = np.where(tiny, np.pi, theta), np.where(tiny, 0.0, phi)
-                block = _transfers(theta, phi)
-                work[:, row - 1:row + 1, :] = block @ work[:, row - 1:row + 1, :]
-                left_ops.append((row - 1, theta, phi))
+                    abs_z = _abs(z)
+                    theta = 2.0 * np.arctan(abs_z)
+                    phi = np.where(abs_z > 0, -np.arctan2(z.imag, z.real), 0.0)
+                    tiny = _abs(a) < 1e-300
+                    theta, phi = np.where(tiny, np.pi, theta), np.where(tiny, 0.0, phi)
+                    block = _transfers(theta, phi).conj().swapaxes(-1, -2)
+                    work[:, :, col:col + 2] = work[:, :, col:col + 2] @ block
+                    right_ops.append((col, theta, phi))
+            else:
+                for j in range(1, diag + 1):
+                    row, col = m + j - diag - 1, j - 1
+                    a, c = work[:, row - 1, col], work[:, row, col]
+                    abs_a, abs_c = _abs(a), _abs(c)
+                    theta = 2.0 * np.arctan2(abs_a, abs_c)
+                    phi = np.where(abs_a > 0, np.arctan2(c.imag, c.real) - np.arctan2(a.imag, a.real), 0.0)
+                    tiny = abs_c < 1e-300
+                    theta, phi = np.where(tiny, np.pi, theta), np.where(tiny, 0.0, phi)
+                    block = _transfers(theta, phi)
+                    work[:, row - 1:row + 1, :] = block @ work[:, row - 1:row + 1, :]
+                    left_ops.append((row - 1, theta, phi))
 
     on_diag = (slice(None), np.arange(m), np.arange(m))
     phases = work[on_diag].copy()
@@ -404,16 +437,16 @@ def _null_stack(us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     physical = list(right_ops)
     for mode, theta, phi in reversed(left_ops):
         d1, d2 = phases[:, mode], phases[:, mode + 1]
-        phi_new = np.angle(_times(d1, np.conj(d2)))
+        w = _times(d1, np.conj(d2))
+        phi_new = np.arctan2(w.imag, w.real)
         phases[:, mode] = _times(-np.exp(-1j * (theta + phi)), d2)
         phases[:, mode + 1] = _times(-np.exp(-1j * theta), d2)
         physical.append((mode, theta, phi_new))
 
     rows, cols = np.array(_greedy_columns(m, tuple(op[0] for op in physical))).T
-    two_pi = 2.0 * np.pi
-    theta = np.mod(np.stack([op[1] for op in physical], axis=1), two_pi)
-    phi = np.mod(np.stack([op[2] for op in physical], axis=1), two_pi)
-    return rows, cols, theta, phi, np.mod(np.angle(phases), two_pi)
+    theta = np.mod(np.stack([op[1] for op in physical], axis=1), _TWO_PI)
+    phi = np.mod(np.stack([op[2] for op in physical], axis=1), _TWO_PI)
+    return rows, cols, theta, phi, np.mod(np.arctan2(phases.imag, phases.real), _TWO_PI)
 
 
 # --- qudit preparation circuits -------------------------------------------
@@ -1254,9 +1287,11 @@ def perturbed_mesh_fidelity_study(
     calibrated thermo-optic device.
 
     Each target and then its errors (one (theta, phi) pair per cell, in
-    `decompose`'s cell order) are drawn in turn; all targets are then nulled
-    in one `_null_stack` pass and all noisy meshes recomposed in one
-    `_compose_stack` call, bitwise the same as the unitary-by-unitary route.
+    `decompose`'s cell order) are drawn in turn; all targets then come from
+    one stacked QR, are nulled in one `_null_stack` pass and recomposed,
+    noisy, in one `_compose_stack` call, bitwise the same as the
+    unitary-by-unitary route. Errors that overflow to infinity raise
+    `NumericalError`.
     """
     if modes < 2:
         raise ValidationError("a mesh needs at least 2 modes")
@@ -1264,18 +1299,25 @@ def perturbed_mesh_fidelity_study(
         raise ValidationError(f"need at least one unitary, got {n_unitaries}")
     if not (np.isfinite(sigma_rad) and sigma_rad >= 0):
         raise ValidationError(f"sigma_rad must be finite and nonnegative, got {sigma_rad!r}")
-    rng = make_rng(seed)
     cells = modes * (modes - 1) // 2
-    targets = np.empty((n_unitaries, modes, modes), dtype=np.complex128)
-    noise = np.empty((n_unitaries, cells, 2))
-    for k in range(n_unitaries):
-        targets[k] = haar_random_unitary(modes, rng)
-        noise[k] = rng.normal(0.0, sigma_rad, (cells, 2))
+    # One row of draws per target: the stream of two standard_normal((modes,
+    # modes)) calls and then normal(0, sigma_rad, (cells, 2)), which is
+    # 0.0 + sigma_rad * standard_normal((cells, 2)) value by value.
+    size = modes * modes
+    draws = make_rng(seed).standard_normal((n_unitaries, 2 * size + 2 * cells))
+    re = draws[:, :size].reshape(n_unitaries, modes, modes)
+    im = draws[:, size:2 * size].reshape(n_unitaries, modes, modes)
+    with np.errstate(over="ignore"):
+        noise = 0.0 + sigma_rad * draws[:, 2 * size:].reshape(n_unitaries, cells, 2)
+    if not np.isfinite(noise).all():
+        raise NumericalError(f"phase errors of sigma_rad={sigma_rad!r} overflow to infinity")
+    targets = _haar_from_ginibre(re, im)
     rows, cols, theta, phi, out_phases = _null_stack(targets)
-    two_pi = 2.0 * np.pi
-    noisy = _compose_stack(modes, rows, cols, np.mod(theta + noise[..., 0], two_pi),
-                           np.mod(phi + noise[..., 1], two_pi), out_phases)
+    noisy = _compose_stack(modes, rows, cols, np.mod(theta + noise[..., 0], _TWO_PI),
+                           np.mod(phi + noise[..., 1], _TWO_PI), out_phases)
     # `fidelity` of each (target, noisy) pair
     samples = (np.abs(targets) * np.abs(noisy)).reshape(n_unitaries, -1).sum(axis=1) / modes
+    if not np.isfinite(samples).all():
+        raise NumericalError("fidelity samples are not finite")
     samples.setflags(write=False)
     return FidelityStudy(samples=samples, sigma_rad=sigma_rad)

@@ -188,6 +188,96 @@ def cell_by_cell_compose(modes: int, cells, output_phases, transfer) -> np.ndarr
     return u
 
 
+# The Clements nulling as it stood before the per-cell loop was rewritten:
+# numpy scalars throughout (`np.angle`, `np.sin`/`np.cos`/`np.exp`, the
+# 2 x 2 blocks built and sliced per cell, `np.mod` reductions).
+
+def mzi_transfer_numpy(theta: float, phi: float) -> np.ndarray:
+    """Two-mode transfer matrix of one cell, from numpy scalar functions."""
+    s, c = np.sin(theta / 2.0), np.cos(theta / 2.0)
+    pre = 1j * np.exp(1j * theta / 2.0)
+    ephi = np.exp(1j * phi)
+    return pre * np.array([[ephi * s, c], [ephi * c, -s]], dtype=np.complex128)
+
+
+def haar_unitary_numpy(m: int, rng) -> np.ndarray:
+    """Haar unitary from the next two (m, m) normal draws of ``rng``: QR of
+    the complex Ginibre matrix, columns rephased by the diagonal of R."""
+    z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def _null_from_right(u: np.ndarray, row: int, col: int) -> tuple[float, float]:
+    """Angles so that (u @ T(theta, phi)^dagger)[row, col] vanishes."""
+    a, b = u[row, col], u[row, col + 1]
+    if abs(a) < 1e-300:
+        return np.pi, 0.0
+    z = -b / a
+    phi = float(-np.angle(z)) if abs(z) > 0 else 0.0
+    return 2.0 * np.arctan(abs(z)), phi
+
+
+def _null_from_left(u: np.ndarray, row: int, col: int) -> tuple[float, float]:
+    """Angles so that (T(theta, phi) @ u)[row, col] vanishes (T on rows row-1, row)."""
+    a, b = u[row - 1, col], u[row, col]
+    if abs(b) < 1e-300:
+        return np.pi, 0.0
+    theta = 2.0 * np.arctan2(abs(a), abs(b))
+    phi = float(np.angle(b) - np.angle(a)) if abs(a) > 0 else 0.0
+    return theta, phi
+
+
+def decompose_reference(u: np.ndarray):
+    """(rows, cols, theta, phi, output phases) of the rectangular decomposition
+    of the unitary ``u``, cells in nulling order and angles reduced by
+    ``np.mod`` to [0, 2 pi). ``u`` is taken as unitary (unchecked)."""
+    u = np.asarray(u, dtype=np.complex128)
+    m = u.shape[0]
+    work = u.copy()
+    right_ops: list[tuple[int, float, float]] = []  # (top mode, theta, phi)
+    left_ops: list[tuple[int, float, float]] = []
+    for diag in range(1, m):
+        if diag % 2 == 1:
+            for j in range(diag):
+                row, col = m - 1 - j, diag - 1 - j
+                theta, phi = _null_from_right(work, row, col)
+                block = mzi_transfer_numpy(theta, phi).conj().T
+                work[:, col:col + 2] = work[:, col:col + 2] @ block
+                right_ops.append((col, theta, phi))
+        else:
+            for j in range(1, diag + 1):
+                row, col = m + j - diag - 1, j - 1
+                theta, phi = _null_from_left(work, row, col)
+                block = mzi_transfer_numpy(theta, phi)
+                work[row - 1:row + 1, :] = block @ work[row - 1:row + 1, :]
+                left_ops.append((row - 1, theta, phi))
+
+    phases = np.diag(work).copy()
+    physical: list[tuple[int, float, float]] = list(right_ops)
+    for mode, theta, phi in reversed(left_ops):
+        d1, d2 = phases[mode], phases[mode + 1]
+        phi_new = float(np.angle(d1 * np.conj(d2)))
+        phases[mode] = -np.exp(-1j * (theta + phi)) * d2
+        phases[mode + 1] = -np.exp(-1j * theta) * d2
+        physical.append((mode, theta, phi_new))
+
+    # each cell takes the first column after the cells already on its modes
+    avail = [0] * m
+    rows, cols = [], []
+    for mode, _, _ in physical:
+        col = max(avail[mode], avail[mode + 1])
+        avail[mode] = avail[mode + 1] = col + 1
+        rows.append(mode)
+        cols.append(col)
+    two_pi = 2.0 * np.pi
+    return (np.array(rows), np.array(cols),
+            np.array([float(np.mod(theta, two_pi)) for _, theta, _ in physical]),
+            np.array([float(np.mod(phi, two_pi)) for _, _, phi in physical]),
+            np.array([float(np.mod(float(np.angle(p)), two_pi)) for p in phases]))
+
+
 def chain_amplitudes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Hyperspherical chain state, level by level: amplitude k is the running
     product of sines times cos(t_k) e^{i p_{k-1}}; the last level takes the

@@ -15,6 +15,7 @@ import overlapkit
 from overlapkit import serialize as ser
 from overlapkit import states
 from overlapkit.inequalities import OverlapSet, WitnessVerdict, classify, make_h_mzi, make_hn
+from overlapkit.interrogation import HexagonFragment, RobustnessCurve, crossover_nu, hexagon, robustness_curve
 from overlapkit.mesh import (
     CountRecord,
     DispersionResult,
@@ -76,8 +77,10 @@ class TestRemovedSettings:
         (WitnessVerdict, {"value": 1.0, "coherence_witnessed": False, "min_dimension": 1, "thresholds_used": ()},
          ["min_dimension_known"]),
         (ThresholdCell, {"n": 4, "d": 2, "lower_bound": 1.0, "upper_bound": 1.0}, ["max_value", "method", "agree"]),
+        (HexagonFragment, {"theta": 0.5, "nu": 0.1, "states": hexagon(0.5, 0.1).states}, ["equivalence_deviation"]),
+        (RobustnessCurve, {"theta": 2.6, "points": ((0.0, 0.5, 0.4),)}, ["crossover_nu"]),
     ], ids=["CountRecord", "SamplingReport", "FidelityStudy", "DispersionResult", "WitnessVerdict",
-            "ThresholdCell"])
+            "ThresholdCell", "HexagonFragment", "RobustnessCurve"])
     def test_derived_field_is_not_a_constructor_argument(self, cls, fields, derived):
         cls(**fields)
         for name in derived:
@@ -134,3 +137,23 @@ class TestDerivedFields:
             else:
                 agree, value, method = None, lower, "ascent"
             assert (bits(c.max_value), c.method, c.agree) == (bits(value), method, agree)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 5 * np.pi / 6, 2.0, -1.1])
+    @pytest.mark.parametrize("nu", [0.0, 0.07, 0.5, 1.0])
+    def test_hexagon_fragment(self, theta, nu):
+        frag = hexagon(theta, nu)
+        # the expression `hexagon` evaluated before the field became a property
+        half_eye = np.eye(2) / 2.0
+        want = max(float(np.linalg.norm((frag.states[i].entries + frag.states[i + 3].entries) / 2.0 - half_eye))
+                   for i in range(3))
+        assert bits(frag.equivalence_deviation) == bits(want)
+
+    @pytest.mark.parametrize("theta", [5 * np.pi / 6, 2.0, 1.2, 0.0, np.pi / 2])
+    def test_robustness_curve(self, theta):
+        curve = robustness_curve(theta, np.linspace(0.0, 0.2, 5))
+        try:
+            want = crossover_nu(theta)
+        except states.ValidationError:
+            assert curve.crossover_nu is None
+        else:
+            assert bits(curve.crossover_nu) == bits(want)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from overlapkit.mesh import clements_layout, MeshCell, MeshConfig, decompose, ha
 from overlapkit.optimize import SamplingReport
 from overlapkit.states import ValidationError, basis_state, qubit_state
 
-from _oracles import haar_values_full_chunk
+from _oracles import (
+    cell_by_cell_compose,
+    decompose_reference,
+    haar_unitary_numpy,
+    haar_values_full_chunk,
+    mzi_transfer_numpy,
+)
 
 
 def write_json(path, obj):
@@ -749,6 +756,53 @@ class TestMeshCommands:
         assert main(["replay", str(tmp_path / "manifest-mesh-fidelity.json")]) == EXIT_OK
         assert (tmp_path / "fidelity_study.json").read_bytes() == first
 
+    @pytest.mark.parametrize("field, value", [("theta", "NaN"), ("phi", "NaN"), ("theta", "Infinity"),
+                                              ("phi", "-Infinity"), ("theta", '"x"'), ("output_phases", "NaN")])
+    def test_simulate_non_finite_angle_exits_2_and_writes_nothing(self, tmp_path, capsys, field, value):
+        record = ser.mesh_config_to_dict(decompose(haar_random_unitary(3, 4)))
+        text = json.dumps(record)
+        if field == "output_phases":
+            text = text.replace(f"{record['output_phases'][1]!r}", value, 1)
+        else:
+            text = text.replace(f'"{field}": {record["cells"][1][field]!r}', f'"{field}": {value}', 1)
+        assert text != json.dumps(record)
+        (tmp_path / "config.json").write_text(text)
+        out = tmp_path / "out"
+        rc = main(["mesh", "simulate", "--config", str(tmp_path / "config.json"), "--out-dir", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["1e308", "1.7e308"])
+    def test_fidelity_study_overflowing_sigma_exits_3_and_writes_nothing(self, tmp_path, capsys, sigma):
+        out = tmp_path / "out"
+        rc = main(["mesh", "fidelity", "--study", "--modes", "3", "--num-unitaries", "4", "--sigma", sigma,
+                   "--out-dir", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, output", [
+        (["mesh", "decompose", "--unitary", "u.json"], "mesh_config.json"),
+        (["mesh", "simulate", "--config", "config.json"], "unitary.json"),
+        (["mesh", "fidelity", "--study", "--modes", "4", "--num-unitaries", "3", "--seed", "8"],
+         "fidelity_study.json"),
+        (["mesh", "counts", "--states", "states.json", "--trials", "300", "--seed", "5"], "count_estimate.json"),
+    ], ids=["decompose", "simulate", "fidelity-study", "counts"])
+    def test_seeded_mesh_outputs_replay_byte_identically(self, tmp_path, monkeypatch, capsys, argv, output):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "u.json", ser.unitary_to_dict(haar_random_unitary(5, 3)))
+        write_json(tmp_path / "config.json", ser.mesh_config_to_dict(decompose(haar_random_unitary(5, 4))))
+        write_json(tmp_path / "states.json",
+                   {"kind": "pure", "states": [ser.pure_state_to_dict(s) for s in pentagon_qubit_set()]})
+        assert main([*argv, "--out-dir", "out"]) == EXIT_OK
+        first = (tmp_path / "out" / output).read_bytes()
+        (tmp_path / "out" / output).unlink()
+        manifest = next((tmp_path / "out").glob("manifest-*.json"))
+        assert main(["replay", str(manifest)]) == EXIT_OK
+        assert (tmp_path / "out" / output).read_bytes() == first
+
+
     @pytest.mark.parametrize("row", ["0,0.05,nan", "0,nan,0.5", "0,inf,0.5"])
     def test_calibrate_non_finite_sample_exit_code(self, tmp_path, capsys, row):
         currents = np.linspace(0.0, 0.6, 40)
@@ -787,6 +841,61 @@ class TestMeshCommands:
         assert rc == EXIT_OK
         payload = json.loads((tmp_path / "count_estimate.json").read_text())
         assert abs(payload["value"] - 2.795) < 5 * payload["sigma"]
+
+
+def reference_config_record(u: np.ndarray) -> dict:
+    """`mesh_config.json` of ``u`` from the numpy-scalar nulling loop."""
+    rows, cols, theta, phi, phases = decompose_reference(u)
+    order = np.lexsort((rows, cols))
+    return {"modes": u.shape[0],
+            "cells": [{"row": int(rows[k]), "column": int(cols[k]), "theta": float(theta[k]), "phi": float(phi[k])}
+                      for k in order],
+            "output_phases": phases.tolist()}
+
+
+class TestMeshOutputsAgainstReference:
+    """Seeded `mesh` files are byte for byte what the numpy-scalar routes write."""
+
+    @pytest.mark.parametrize("m, seed", [(2, 1), (4, 5), (7, 2), (12, 9)])
+    def test_decompose(self, tmp_path, capsys, m, seed):
+        u = haar_random_unitary(m, seed)
+        upath = write_json(tmp_path / "u.json", ser.unitary_to_dict(u))
+        assert main(["mesh", "decompose", "--unitary", upath, "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "mesh_config.json").read_text() == ser.dumps(reference_config_record(u))
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_simulate(self, tmp_path, capsys, m):
+        rng = np.random.default_rng(m)
+        cells = [{"row": r, "column": c, "theta": float(t), "phi": float(p)}
+                 for (r, c), (t, p) in zip(clements_layout(m), rng.uniform(-9.0, 9.0, (m * (m - 1) // 2, 2)))]
+        phases = rng.uniform(-9.0, 9.0, m).tolist()
+        path = write_json(tmp_path / "config.json", {"modes": m, "cells": cells, "output_phases": phases})
+        assert main(["mesh", "simulate", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_OK
+        two_pi = 2.0 * np.pi
+        reduced = [SimpleNamespace(row=c["row"], column=c["column"], theta=float(np.mod(c["theta"], two_pi)),
+                                   phi=float(np.mod(c["phi"], two_pi))) for c in cells]
+        want = cell_by_cell_compose(m, reduced, np.mod(phases, two_pi), mzi_transfer_numpy)
+        assert (tmp_path / "unitary.json").read_text() == ser.dumps(ser.unitary_to_dict(want))
+
+    @pytest.mark.parametrize("modes, count, sigma, seed", [(2, 3, 0.1, 0), (5, 4, 0.07, 4), (6, 6, 0.3, 11)])
+    def test_fidelity_study(self, tmp_path, capsys, modes, count, sigma, seed):
+        argv = ["mesh", "fidelity", "--study", "--modes", str(modes), "--num-unitaries", str(count),
+                "--sigma", repr(sigma), "--seed", str(seed), "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        rng = np.random.default_rng(seed)
+        two_pi = 2.0 * np.pi
+        samples = []
+        for _ in range(count):
+            target = haar_unitary_numpy(modes, rng)
+            rows, cols, theta, phi, phases = decompose_reference(target)
+            noise = rng.normal(0.0, sigma, (len(rows), 2))
+            noisy = [SimpleNamespace(row=r, column=c, theta=t, phi=p) for r, c, t, p in
+                     zip(rows, cols, np.mod(theta + noise[:, 0], two_pi), np.mod(phi + noise[:, 1], two_pi))]
+            experimental = cell_by_cell_compose(modes, noisy, phases, mzi_transfer_numpy)
+            samples.append(float(np.sum(np.abs(target) * np.abs(experimental)) / modes))
+        want = {"mean": float(np.mean(samples)), "std": float(np.std(samples)), "sigma_rad": sigma,
+                "samples": samples}
+        assert (tmp_path / "fidelity_study.json").read_text() == ser.dumps(want)
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -38,18 +39,21 @@ from overlapkit.mesh import (
     state_from_hyperspherical,
 )
 from overlapkit.optimize import thresholds_for
-from overlapkit.states import PureState, ValidationError, basis_state, make_rng, overlap
+from overlapkit.states import NumericalError, PureState, ValidationError, basis_state, make_rng, overlap
 
 from _oracles import (
     cell_by_cell_compose,
     chain_amplitudes,
     curve_fit_single_heater,
+    decompose_reference,
     dense_demodulation_init,
     dense_demodulation_peak,
     family_value_and_grad,
     five_mode_amplitudes,
     hn_family_gradient,
+    haar_unitary_numpy,
     hn_value_of_amplitudes,
+    mzi_transfer_numpy,
     ordered_functional,
     quadratic_optimum,
     ququart_amplitudes,
@@ -58,6 +62,11 @@ from _oracles import (
 )
 
 SEEDS = [0, 1, 2]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def bs_product_cell(theta, phi):
@@ -86,6 +95,63 @@ class TestCell:
     def test_unitarity(self):
         t = mzi_transfer(1.1, 2.2)
         assert np.allclose(t @ t.conj().T, np.eye(2), atol=1e-14)
+
+
+class TestScalarCell:
+    """`mzi_transfer` from math/cmath is bitwise its numpy-scalar form."""
+
+    SPECIAL = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 5e-324, -5e-324]
+
+    def test_special_angles(self):
+        for theta in self.SPECIAL:
+            for phi in self.SPECIAL:
+                assert same_bits(mzi_transfer(theta, phi), mzi_transfer_numpy(theta, phi)), (theta, phi)
+
+    def test_random_angles(self):
+        rng = make_rng(11)
+        angles = np.concatenate([rng.uniform(-7.0, 7.0, (50_000, 2)), rng.uniform(-1e3, 1e3, (50_000, 2))])
+        for theta, phi in angles.tolist():
+            assert same_bits(mzi_transfer(theta, phi), mzi_transfer_numpy(theta, phi)), (theta, phi)
+
+    def test_numpy_scalar_arguments(self):
+        for theta, phi in make_rng(12).uniform(0.0, 2 * np.pi, (200, 2)):
+            assert same_bits(mzi_transfer(theta, phi), mzi_transfer_numpy(theta, phi))
+
+
+class TestAngleReduction:
+    def test_matches_np_mod_bitwise(self):
+        rng = make_rng(13)
+        two_pi = 2.0 * np.pi
+        values = np.concatenate([
+            rng.uniform(-20.0, 20.0, 100_000), rng.standard_normal(50_000) * 1e6, rng.standard_normal(50_000) * 1e-300,
+            [0.0, -0.0, two_pi, -two_pi, np.pi, -np.pi, 5e-324, -5e-324, 2.2250738585072014e-308,
+             np.nextafter(two_pi, 0.0), -np.nextafter(two_pi, 0.0), 1e308, -1e308],
+        ])
+        got = np.array([mesh._mod_2pi(v) for v in values.tolist()])
+        assert same_bits(got, np.mod(values, two_pi))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    @pytest.mark.parametrize("field", ["theta", "phi"])
+    def test_cell_rejects_non_finite_angle(self, bad, field):
+        angles = {"theta": 0.1, "phi": 0.2, field: bad}
+        with pytest.raises(ValidationError, match="finite"):
+            MeshCell(0, 0, **angles)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_config_rejects_non_finite_output_phase(self, bad):
+        cells = tuple(MeshCell(r, c, 0.1, 0.2) for r, c in clements_layout(3))
+        with pytest.raises(ValidationError, match="finite"):
+            MeshConfig(modes=3, cells=cells, output_phases=(0.0, bad, 1.0))
+
+    @pytest.mark.parametrize("bad", ["1.5", "a", "%s", 1j, None, 10**400])
+    def test_cell_rejects_angle_that_is_not_a_real_number(self, bad):
+        with pytest.raises(ValidationError):
+            MeshCell(0, 0, bad, 0.2)
+
+    def test_integer_and_numpy_angles_are_accepted(self):
+        cell = MeshCell(0, 0, 7, np.float64(-1.0))
+        assert (cell.theta, cell.phi) == (float(np.mod(7.0, 2 * np.pi)), float(np.mod(-1.0, 2 * np.pi)))
+        assert type(cell.theta) is float and type(cell.phi) is float
 
 
 class TestLayout:
@@ -162,17 +228,114 @@ class TestDecompose:
         assert np.max(np.abs(compose(decompose(u)) - u)) < 1e-9
 
 
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def config_arrays(config: MeshConfig):
     """(rows, cols, theta, phi, output phases) of a config, cells in its order."""
     cells = config.cells
     return (np.array([c.row for c in cells]), np.array([c.column for c in cells]),
             np.array([c.theta for c in cells]), np.array([c.phi for c in cells]),
             np.array(config.output_phases))
+
+
+def helmert(m: int) -> np.ndarray:
+    """Real orthogonal Helmert matrix: the uniform row, then row k holds k
+    entries 1 and one entry -k over sqrt(k(k+1)), zeros after it."""
+    h = np.zeros((m, m))
+    h[0] = 1.0 / np.sqrt(m)
+    for k in range(1, m):
+        h[k, :k] = 1.0 / np.sqrt(k * (k + 1))
+        h[k, k] = -k / np.sqrt(k * (k + 1))
+    return h
+
+
+def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((a.shape[0] + b.shape[0],) * 2, dtype=np.complex128)
+    out[:a.shape[0], :a.shape[0]], out[a.shape[0]:, a.shape[0]:] = a, b
+    return out
+
+
+class TestDecomposeAgainstReference:
+    """`decompose` is bitwise the numpy-scalar nulling loop it replaced."""
+
+    @staticmethod
+    def check(u):
+        got, want = config_arrays(decompose(u)), decompose_reference(u)
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+
+    @pytest.mark.parametrize("m", range(2, 34))
+    def test_haar(self, m):
+        rng = make_rng(300 + m)
+        for _ in range(4 if m <= 16 else 1):
+            self.check(haar_random_unitary(m, rng))
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_identity_and_its_signed_zeros(self, m):
+        eye = np.eye(m, dtype=complex)
+        self.check(eye)
+        self.check(-eye)  # -1 on the diagonal, -0.0 off it
+        self.check(np.where(eye == 0, complex(-0.0, -0.0), eye))
+        self.check(np.where(eye == 0, complex(0.0, -0.0), 1j * eye))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_every_permutation(self, m):
+        for perm in itertools.permutations(range(m)):
+            p = np.eye(m, dtype=complex)[list(perm)]
+            self.check(p)
+            self.check(-p)
+
+    @pytest.mark.parametrize("m", range(5, 17))
+    def test_random_permutations_and_diagonal_phases(self, m):
+        rng = make_rng(400 + m)
+        for _ in range(3):
+            p = np.eye(m, dtype=complex)[rng.permutation(m)]
+            self.check(p)
+            self.check(p * np.exp(1j * rng.uniform(-np.pi, np.pi, m)))
+            self.check(np.diag(np.exp(1j * rng.uniform(-4.0, 4.0, m))))
+
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_real_helmert(self, m):
+        self.check(helmert(m).astype(complex))
+        self.check(helmert(m).T.astype(complex))
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (1, 3), (2, 2), (3, 1), (2, 4), (4, 3), (5, 5)])
+    def test_direct_sums_have_exact_zeros_at_nulled_positions(self, sizes):
+        rng = make_rng(sum(sizes))
+        a, b = (haar_random_unitary(k, rng) for k in sizes)
+        self.check(direct_sum(a, b))
+        self.check(direct_sum(b, a))
+        self.check(direct_sum(a, np.eye(sizes[1])))
+
+    def test_single_zero_entries(self):
+        # a real rotation in a Haar frame leaves exact zeros in one nulled column
+        for seed in range(6):
+            c, s = np.cos(0.3 + seed), np.sin(0.3 + seed)
+            u = np.eye(5, dtype=complex)
+            u[1:3, 1:3] = [[c, -s], [s, c]]
+            self.check(u)
+            self.check(u @ np.diag(np.exp(1j * make_rng(seed).uniform(0, 2 * np.pi, 5))))
+
+    def test_nulling_helpers_are_gone(self):
+        assert not hasattr(mesh, "_null_from_right") and not hasattr(mesh, "_null_from_left")
+
+
+class TestHaar:
+    def test_matches_ginibre_qr_oracle(self):
+        for m in range(1, 17):
+            for seed in range(3):
+                assert same_bits(haar_random_unitary(m, 50 * m + seed), haar_unitary_numpy(m, make_rng(50 * m + seed)))
+
+    def test_shares_the_generator_stream(self):
+        rng, ref = make_rng(9), make_rng(9)
+        for m in (3, 5, 2):
+            assert same_bits(haar_random_unitary(m, rng), haar_unitary_numpy(m, ref))
+
+    @pytest.mark.parametrize("m", [0, -1, 2.5, "3", True, None])
+    def test_rejects_a_size_that_is_not_a_positive_integer(self, m):
+        with pytest.raises(ValidationError, match="positive integer"):
+            haar_random_unitary(m, 0)
+
+    def test_numpy_integer_size(self):
+        assert same_bits(haar_random_unitary(np.int64(4), 1), haar_random_unitary(4, 1))
 
 
 class TestBatchedKernels:
@@ -822,6 +985,15 @@ class TestFidelity:
     def test_study_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValidationError):
             mesh.perturbed_mesh_fidelity_study(**{"modes": 4, "n_unitaries": 2, "sigma_rad": 0.1, **kwargs})
+
+    @pytest.mark.parametrize("sigma", [1e308, 1.7e308])
+    def test_study_with_overflowing_phase_errors_is_a_numerical_error(self, sigma):
+        with pytest.raises(NumericalError, match="overflow"):
+            mesh.perturbed_mesh_fidelity_study(modes=3, n_unitaries=4, sigma_rad=sigma, seed=0)
+
+    def test_study_with_large_finite_phase_errors_has_finite_samples(self):
+        study = mesh.perturbed_mesh_fidelity_study(modes=3, n_unitaries=4, sigma_rad=1e300, seed=0)
+        assert np.all(np.isfinite(study.samples)) and np.all(study.samples <= 1.0 + 1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

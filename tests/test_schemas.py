@@ -64,11 +64,19 @@ def test_interrogation_outputs_match_schemas(tmp_path, theta, crosses):
      "upper_bound.json", "upper_bound", "manifest-maximize.json"),
     (["interrogation", "--nu-min", "0.05", "--nu-steps", "5"], "hexagon.json", "hexagon", "manifest-interrogation.json"),
     (["table", "--n-max", "4", "--restarts", "4"], "threshold_table.json", "threshold_table", "manifest-table.json"),
+    (["sample", "--inequality", "h4", "--d", "2", "--num-sets", "50"], "sampling.json", "sampling_report",
+     "manifest-sample.json"),
 ])
 def test_remaining_json_outputs_match_schemas(tmp_path, argv, output, schema, manifest):
     assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_OK
     assert_matches(json.loads((tmp_path / output).read_text()), schema)
     assert_matches(json.loads((tmp_path / manifest).read_text()), "run_manifest")
+
+
+def test_sampling_report_holds_exactly_the_required_keys(tmp_path):
+    assert main(["sample", "--inequality", "h5", "--d", "3", "--num-sets", "20", "--out-dir", str(tmp_path)]) == EXIT_OK
+    schema = json.loads((SCHEMAS / "sampling_report.json").read_text())
+    assert sorted(json.loads((tmp_path / "sampling.json").read_text())) == sorted(schema["required"])
 
 
 @pytest.fixture
@@ -124,6 +132,8 @@ COUNT_RECORD = {"counts": [3, 1], "total_trials": 4, "estimated_probability": [0
                  "states": [{"dim": 2, "entries": [[0.5, 0.0]] * 4}] * 5}),
     ("threshold_table", [{"n": 3, "d": 2, "max_value": 1.25, "method": "guess",
                           "lower_bound": None, "upper_bound": None, "agree": None}]),
+    ("sampling_report", {"n": 4, "d": 2, "num_sets": 2, "max_value": 1.0, "violation_count": 0,
+                         "values": [1.0, 0.5]}),
 ])
 def test_closed_schemas_reject_stray_records(schema, record):
     schema_obj = json.loads((SCHEMAS / f"{schema}.json").read_text())
