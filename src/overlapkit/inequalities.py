@@ -16,7 +16,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .states import StateLike, ValidationError, overlap
+from .states import (
+    _OVERLAP_RANGE,
+    DensityMatrix,
+    NumericalError,
+    PureState,
+    StateLike,
+    ValidationError,
+    _as_density_array,
+)
 
 __all__ = [
     "OverlapSet",
@@ -38,6 +46,16 @@ __all__ = [
 # relative margin within which a value counts as equal to a dimension
 # threshold: an exact maximizer evaluates a few ulps off its own maximum
 THRESHOLD_ROUNDING = 1e-12
+
+
+def _is_finite_real(x) -> bool:
+    """True for a finite real number; False for NaN, inf, complex or text."""
+    if isinstance(x, (complex, np.complexfloating)):  # math.isfinite would drop the imaginary part
+        return False
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):  # not real, or an int past the float range
+        return False
 
 
 def edge_order(n: int) -> list[tuple[int, int]]:
@@ -63,13 +81,14 @@ class OverlapSet:
         m = np.array(self.r, dtype=float, copy=True)
         if m.shape != (self.n, self.n):
             raise ValidationError(f"overlap matrix must be {self.n}x{self.n}")
-        iu = np.triu_indices(self.n, k=1)
-        vals = m[iu]
-        if not np.all((vals >= -1e-12) & (vals <= 1.0 + 1e-12)):  # also rejects NaN
+        lower = np.tri(self.n, dtype=bool)  # the diagonal and below
+        up = np.where(lower, 0.0, m)
+        if not np.all((up >= -_OVERLAP_RANGE) & (up <= 1.0 + _OVERLAP_RANGE)):  # also rejects NaN
             raise ValidationError("overlaps must lie in [0, 1]")
-        out = np.eye(self.n)
-        out[iu] = np.clip(vals, 0.0, 1.0)
-        out[(iu[1], iu[0])] = out[iu]
+        np.clip(up, 0.0, 1.0, out=up)
+        # mirror by selection, not by adding up.T: a -0.0 keeps its sign
+        out = np.where(lower, up.T, up)
+        np.fill_diagonal(out, 1.0)
         out.setflags(write=False)
         object.__setattr__(self, "r", out)
 
@@ -86,15 +105,42 @@ class OverlapSet:
 
     @classmethod
     def from_states(cls, states: Sequence[StateLike]) -> "OverlapSet":
+        """Overlaps Tr(rho_i rho_j) of all pairs, from one Gram product.
+
+        Pure tuples take ``|<a_i|a_j>|^2`` from the amplitude Gram matrix;
+        a tuple holding any density matrix takes ``Tr(rho_i rho_j)`` from
+        the Gram matrix of the flattened entries, pure members entering as
+        their projectors. Each overlap may leave [0, 1] by
+        ``_OVERLAP_RANGE`` before it is clamped, as in `overlap`; beyond
+        that it is a `NumericalError`.
+        """
+        states = list(states)
         n = len(states)
-        m = np.eye(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                m[i, j] = overlap(states[i], states[j])
-        return cls(n, m)
+        if n < 2:
+            raise ValidationError("an overlap set needs at least 2 nodes")
+        for s in states:
+            if not isinstance(s, (PureState, DensityMatrix)):
+                raise ValidationError(f"expected PureState or DensityMatrix, got {type(s).__name__}")
+            if s.dim != states[0].dim:
+                raise ValidationError(f"dimension mismatch: {states[0].dim} vs {s.dim}")
+        if all(isinstance(s, PureState) for s in states):
+            a = np.array([s.amplitudes for s in states])
+            g = a.conj() @ a.T
+            r = g.real**2 + g.imag**2
+        else:
+            e = np.array([_as_density_array(s).ravel() for s in states])
+            r = (e.conj() @ e.T).real
+        try:
+            return cls(n, r)
+        except ValidationError:  # with n and the shape right, only the range check fails
+            up = np.triu(r, 1)
+            i, j = np.argwhere((up < -_OVERLAP_RANGE) | (up > 1.0 + _OVERLAP_RANGE))[0]
+            raise NumericalError(f"overlap {float(r[i, j])!r} of states {i} and {j} "
+                                 f"left [0, 1] beyond tolerance") from None
 
     def upper(self) -> np.ndarray:
-        return self.r[np.triu_indices(self.n, k=1)]
+        """The strict upper triangle, row-major: the `edge_order` entries."""
+        return self.r[~np.tri(self.n, dtype=bool)]
 
     def restrict(self, nodes: Sequence[int]) -> "OverlapSet":
         """Sub-graph on the given nodes, relabeled 0..len(nodes)-1."""
@@ -123,12 +169,12 @@ class InequalitySpec:
         for (i, j), w in self.weights.items():
             if not (0 <= i < j < self.n):
                 raise ValidationError(f"edge ({i},{j}) invalid for n={self.n}")
-            if not np.isfinite(w):
-                raise ValidationError(f"non-finite coefficient on edge ({i},{j})")
+            if not _is_finite_real(w):
+                raise ValidationError(f"coefficient on edge ({i},{j}) must be a finite real number, got {w!r}")
             clean[(int(i), int(j))] = float(w)
         object.__setattr__(self, "weights", dict(sorted(clean.items())))
-        if not np.isfinite(self.classical_bound):
-            raise ValidationError("classical bound must be finite")
+        if not _is_finite_real(self.classical_bound):
+            raise ValidationError(f"classical bound must be a finite real number, got {self.classical_bound!r}")
 
     def weight_matrix(self) -> np.ndarray:
         """Symmetric zero-diagonal coefficient matrix."""
@@ -223,7 +269,8 @@ def evaluate(spec: InequalitySpec, overlaps: OverlapSet) -> float:
     """
     if spec.n != overlaps.n:
         raise ValidationError(f"size mismatch: spec has n={spec.n}, overlaps n={overlaps.n}")
-    return math.fsum(w * overlaps.r[i, j] for (i, j), w in spec.weights.items())
+    r = overlaps.r.tolist()
+    return math.fsum(w * r[i][j] for (i, j), w in spec.weights.items())
 
 
 def evaluate_states(spec: InequalitySpec, states: Sequence[StateLike]) -> float:
@@ -259,11 +306,15 @@ def classify(
     reported above d; the classical-bound comparison has no such margin.
     With no thresholds the dimension is reported as 1 with
     ``min_dimension_known=False``. ``slack`` must be finite and
-    non-negative: a negative one would witness below the bound.
+    non-negative: a negative one would witness below the bound. A NaN
+    threshold would be exceeded by no value, so non-finite thresholds are
+    rejected too.
     """
     if not 0.0 <= slack < math.inf:  # also rejects NaN
         raise ValidationError(f"slack must be a finite non-negative number, got {slack!r}")
     thr = tuple((int(d), float(v)) for d, v in thresholds)
+    if not all(math.isfinite(v) for _, v in thr):
+        raise ValidationError(f"threshold values must be finite, got {thr!r}")
     if any(thr[k][0] >= thr[k + 1][0] for k in range(len(thr) - 1)):
         raise ValidationError("thresholds must be sorted strictly ascending in dimension")
     witnessed = value > spec.classical_bound + slack

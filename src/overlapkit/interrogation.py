@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequalities import evaluate_states, make_h3_robust
+from .inequalities import _is_finite_real, evaluate_states, make_h3_robust
 from .states import (
     DensityMatrix,
     ValidationError,
@@ -146,30 +146,60 @@ def eta_noisy(r: float, eps: float, n1: float, n2: float, sign: int = +1) -> flo
     return interrogation_point(r, eps=eps, n1=n1, n2=n2, sign=sign).eta
 
 
-def depolarized_overlap(q: float, nu: float) -> float:
+def _noise_weights(nu) -> np.ndarray:
+    """``nu`` as a float array, every entry checked to lie in [0, 1]."""
+    nu = np.asarray(nu, dtype=float)
+    outside = ~((nu >= 0.0) & (nu <= 1.0))  # also catches NaN
+    if outside.any():
+        raise ValidationError(f"nu must lie in [0, 1], got {float(nu[outside][0])!r}")
+    return nu
+
+
+def _squared(x):
+    """``x ** 2`` as libm ``pow`` rounds it, elementwise on arrays too.
+
+    A float's ``**`` calls ``pow``; an array's ``**`` squares by
+    multiplication, which rounds differently in about 0.1 % of inputs.
+    `np.float_power` calls ``pow`` per element, so a point of a curve
+    evaluated on a whole grid is bitwise the scalar call at its ``nu``.
+    """
+    return np.float_power(x, 2)
+
+
+def _check_angle(theta) -> None:
+    if not _is_finite_real(theta):
+        raise ValidationError(f"theta must be a finite real number, got {theta!r}")
+
+
+def _depolarized(q, nu):
+    """`depolarized_overlap` without the check of ``nu``."""
+    return _squared(1.0 - nu) * q + nu - _squared(nu) / 2.0
+
+
+def depolarized_overlap(q, nu):
     """Overlap of two qubit states after both pass the depolarizing channel.
 
     For pure states with overlap ``q``:
     ``(1-nu)^2 q + nu - nu^2/2``. The additive part at q = 1 gives the
     self-overlap ``1 - nu + nu^2/2``, i.e. the discrimination error
-    ``eps_i = nu - nu^2/2`` used by the robust bound.
+    ``eps_i = nu - nu^2/2`` used by the robust bound. Takes arrays of
+    ``q`` and ``nu`` elementwise.
     """
-    if not 0.0 <= nu <= 1.0:
-        raise ValidationError(f"nu must lie in [0, 1], got {nu!r}")
-    return (1.0 - nu) ** 2 * q + nu - nu**2 / 2.0
+    return _depolarized(q, _noise_weights(nu))
 
 
-def eta_quantum_depolarized(theta: float, nu: float) -> float:
+def eta_quantum_depolarized(theta, nu):
     """Quantum efficiency with depolarized preparations and effects.
 
     ``Q / (Q + 1)`` with ``Q = Tr(rho_0 rho_theta)`` after depolarization;
-    the pure overlap is cos^2(theta).
+    the pure overlap is cos^2(theta). Takes an array of ``nu``.
     """
-    q = depolarized_overlap(np.cos(theta) ** 2, nu)
+    _check_angle(theta)
+    q = _depolarized(np.cos(theta) ** 2, _noise_weights(nu))
     return q / (q + 1.0)
 
 
-def eta_nc_bound(theta: float, nu: float) -> float:
+def eta_nc_bound(theta, nu):
     """Upper bound on the efficiency reachable by noncontextual models.
 
     The triangle inequality on the overlaps of (|0>, |theta>, |-theta>)
@@ -179,13 +209,14 @@ def eta_nc_bound(theta: float, nu: float) -> float:
     with all states depolarized; the cap divided by
     ``Tr(rho_0 rho_theta) + 1`` bounds eta. Noise raises this bound while
     lowering the quantum curve, so the two cross at `crossover_nu`.
+    Takes an array of ``nu``.
     """
-    if not 0.0 <= nu <= 1.0:
-        raise ValidationError(f"nu must lie in [0, 1], got {nu!r}")
-    eps = nu - nu**2 / 2.0
+    _check_angle(theta)
+    nu = _noise_weights(nu)
+    eps = nu - _squared(nu) / 2.0
     # Tr(rho_0 rho_-theta) equals Tr(rho_0 rho_theta)
-    q = depolarized_overlap(np.cos(theta) ** 2, nu)
-    r_plus_minus = depolarized_overlap(np.cos(2.0 * theta) ** 2, nu)
+    q = _depolarized(np.cos(theta) ** 2, nu)
+    r_plus_minus = _depolarized(np.cos(2.0 * theta) ** 2, nu)
     return (1.0 + 3.0 * eps - q + r_plus_minus) / (q + 1.0)
 
 
@@ -199,6 +230,7 @@ def crossover_nu(theta: float) -> float:
     denominator is at most 9/4, so the root lies in (0, 1 - 2 sqrt(2)/3].
     Raises when there is no contextual gap at nu = 0 (denominator <= 2).
     """
+    _check_angle(theta)
     denom = 2.0 * np.cos(theta) ** 2 - np.cos(2.0 * theta) ** 2 + 1.0
     if denom <= 2.0:
         raise ValidationError("no contextual gap at nu=0 for this theta")
@@ -212,6 +244,7 @@ def hexagon(theta: float, nu: float = 0.0) -> HexagonFragment:
     mixed state; the reported deviation is the worst Frobenius distance
     from that average.
     """
+    _check_angle(theta)
     pures = (
         qubit_state(0.0),
         qubit_state(theta),
@@ -233,8 +266,11 @@ def h3_robust(frag: HexagonFragment) -> float:
 
 
 def robustness_curve(theta: float, nu_grid) -> RobustnessCurve:
-    """Quantum vs noncontextual efficiency on a noise grid, with crossover."""
-    pts = []
-    for nu in np.asarray(nu_grid, dtype=float):
-        pts.append((float(nu), eta_quantum_depolarized(theta, nu), eta_nc_bound(theta, nu)))
-    return RobustnessCurve(theta=theta, points=tuple(pts))
+    """Quantum vs noncontextual efficiency on a noise grid, with crossover.
+
+    Both efficiencies are evaluated on the whole grid at once; each point
+    is bitwise the value of the scalar call at its ``nu``.
+    """
+    nu = np.asarray(nu_grid, dtype=float)
+    eq, en = eta_quantum_depolarized(theta, nu), eta_nc_bound(theta, nu)
+    return RobustnessCurve(theta=theta, points=tuple(zip(nu.tolist(), eq.tolist(), en.tolist())))

@@ -252,9 +252,14 @@ def _haar_from_ginibre(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
+def _is_int(x) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def haar_random_unitary(m: int, seed) -> np.ndarray:
     """Haar-distributed m x m unitary (QR of a complex Ginibre matrix)."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValidationError(f"unitary size must be a positive integer, got {m!r}")
     rng = make_rng(seed)
     return _haar_from_ginibre(rng.standard_normal((m, m)), rng.standard_normal((m, m)))
@@ -1293,10 +1298,10 @@ def perturbed_mesh_fidelity_study(
     unitary-by-unitary route. Errors that overflow to infinity raise
     `NumericalError`.
     """
-    if modes < 2:
-        raise ValidationError("a mesh needs at least 2 modes")
-    if n_unitaries < 1:
-        raise ValidationError(f"need at least one unitary, got {n_unitaries}")
+    if not _is_int(modes) or modes < 2:
+        raise ValidationError(f"a mesh needs an integer number of modes, at least 2, got {modes!r}")
+    if not _is_int(n_unitaries) or n_unitaries < 1:
+        raise ValidationError(f"need an integer number of unitaries, at least one, got {n_unitaries!r}")
     if not (np.isfinite(sigma_rad) and sigma_rad >= 0):
         raise ValidationError(f"sigma_rad must be finite and nonnegative, got {sigma_rad!r}")
     cells = modes * (modes - 1) // 2

@@ -196,7 +196,10 @@ def overlap(a: StateLike, b: StateLike) -> float:
 
     For pure inputs this equals ``|<a|b>|^2``. The implementation is
     bit-symmetric in its arguments: each elementwise term is the same float
-    expression either way, summed in the same order.
+    expression either way, summed in the same order. This is the route for
+    a single pair; `OverlapSet.from_states` takes all pairs of a tuple from
+    one Gram product instead, whose sums may round differently by a few
+    ulps.
     """
     if isinstance(a, PureState) and isinstance(b, PureState):
         if a.dim != b.dim:

@@ -152,6 +152,50 @@ def hn_value_of_amplitudes(amps: np.ndarray) -> float:
     return value
 
 
+def pairwise_overlap_matrix(states) -> np.ndarray:
+    """Overlap matrix of a state tuple, one `states.overlap` call per pair.
+
+    The route `OverlapSet.from_states` took before its Gram product: unit
+    diagonal, r_ij = r_ji = overlap(states[i], states[j]) for i < j.
+    """
+    from overlapkit.states import overlap
+
+    n = len(states)
+    m = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = m[j, i] = overlap(states[i], states[j])
+    return m
+
+
+def mirrored_by_indices(n: int, m: np.ndarray) -> np.ndarray:
+    """An `OverlapSet` matrix built through `np.triu_indices`, as it was:
+    the strict upper triangle clipped to [0, 1], copied to the lower one,
+    unit diagonal. The caller checks the range first."""
+    iu = np.triu_indices(n, k=1)
+    out = np.eye(n)
+    out[iu] = np.clip(np.asarray(m, dtype=float)[iu], 0.0, 1.0)
+    out[(iu[1], iu[0])] = out[iu]
+    return out
+
+
+def per_point_curve(theta: float, nu_grid) -> tuple[tuple[float, float, float], ...]:
+    """The robustness curve one noise level at a time, in float arithmetic.
+
+    The loop `interrogation.robustness_curve` ran before it took the whole
+    grid at once, with the depolarized formulas written out: squares are
+    float ``**`` (libm ``pow``), as the scalar calls computed them.
+    """
+    c1, c2 = float(np.cos(theta) ** 2), float(np.cos(2.0 * theta) ** 2)
+    points = []
+    for nu in np.asarray(nu_grid, dtype=float).tolist():
+        eps = nu - nu**2 / 2.0
+        q = (1.0 - nu) ** 2 * c1 + nu - nu**2 / 2.0
+        r_plus_minus = (1.0 - nu) ** 2 * c2 + nu - nu**2 / 2.0
+        points.append((nu, q / (q + 1.0), (1.0 + 3.0 * eps - q + r_plus_minus) / (q + 1.0)))
+    return tuple(points)
+
+
 def hn_family_gradient(amplitudes_of, params: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of h_n over a family's stacked angles.
 

@@ -20,12 +20,35 @@ from overlapkit.inequalities import (
     make_hn,
     qubit_h4_gap,
 )
-from overlapkit.mesh import _star_ensemble_states, pentagon_qubit_set, qutrit_h4_set, ququart_h5_set
+from overlapkit.mesh import (
+    _helmert_star_states,
+    _star_ensemble_states,
+    pentagon_qubit_set,
+    qutrit_h4_set,
+    ququart_h5_set,
+)
 from overlapkit.optimize import thresholds_for
 from overlapkit import serialize as ser
-from overlapkit.states import basis_state, haar_random_pure, make_rng, qubit_state
+from overlapkit.states import (
+    DensityMatrix,
+    NumericalError,
+    PureState,
+    basis_state,
+    depolarize,
+    haar_random_pure,
+    make_rng,
+    overlap,
+    qubit_state,
+)
 
-from _oracles import brute_force_h4_qubit, pentagon_exact
+from _oracles import (
+    brute_force_h4_qubit,
+    mirrored_by_indices,
+    pairwise_overlap_matrix,
+    pentagon_exact,
+)
+
+EPS = np.finfo(float).eps
 
 SEEDS = [0, 1, 2]
 
@@ -55,6 +78,145 @@ class TestOverlapSet:
         sub = o.restrict([1, 2, 3])
         assert sub.r[0, 1] == o.r[1, 2]
         assert sub.r[0, 2] == o.r[1, 3]
+
+
+def _random_density(d: int, rng) -> DensityMatrix:
+    """A full-rank mixture of three Haar states."""
+    lam = rng.dirichlet(np.ones(3))
+    return DensityMatrix(sum(w * haar_random_pure(d, rng).density().entries for w in lam))
+
+
+def _max_gram_error(states, terms: int) -> float:
+    """Largest entry difference from the pairwise route, in units of
+    ``terms`` * eps (the dot products have ``terms`` summands)."""
+    got = OverlapSet.from_states(states).r
+    return float(np.max(np.abs(got - pairwise_overlap_matrix(states)))) / (terms * EPS)
+
+
+class TestGramRoute:
+    """`OverlapSet.from_states` against the one-call-per-pair route."""
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_pure_tuples(self, d):
+        rng = make_rng(100 + d)
+        for n in range(2, 41):
+            states = [haar_random_pure(d, rng) for _ in range(n)]
+            assert _max_gram_error(states, d) <= 4.0, (n, d)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_density_and_mixed_tuples(self, d):
+        rng = make_rng(200 + d)
+        for n in range(2, 41, 6):
+            dens = [_random_density(d, rng) for _ in range(n)]
+            mixed = [haar_random_pure(d, rng) if k % 2 else dens[k] for k in range(n)]
+            assert _max_gram_error(dens, d * d) <= 4.0, (n, d)
+            assert _max_gram_error(mixed, d * d) <= 4.0, (n, d)
+
+    def test_dimension_255(self):
+        rng = make_rng(255)
+        pures = [haar_random_pure(255, rng) for _ in range(12)]
+        assert _max_gram_error(pures, 255) <= 4.0
+        mixed = pures[:4] + [_random_density(255, rng) for _ in range(2)]
+        assert _max_gram_error(mixed, 255 * 255) <= 4.0
+
+    def test_matrix_is_symmetric_with_unit_diagonal(self):
+        rng = make_rng(7)
+        r = OverlapSet.from_states([haar_random_pure(5, rng) for _ in range(9)]).r
+        assert np.array_equal(r, r.T) and np.all(np.diag(r) == 1.0)
+
+    @pytest.mark.parametrize("as_density", [(), (1,), (0, 1, 2, 3, 4, 5)])
+    def test_basis_states_are_exact(self, as_density):
+        # repeated and orthogonal basis vectors: every overlap is exactly 0 or 1
+        ks = [0, 2, 0, 1, 2, 3]
+        states = [basis_state(4, k).density() if i in as_density else basis_state(4, k)
+                  for i, k in enumerate(ks)]
+        want = np.array([[1.0 if a == b else 0.0 for b in ks] for a in ks])
+        assert np.array_equal(OverlapSet.from_states(states).r, want)
+
+    @pytest.mark.parametrize("states", [
+        [], [basis_state(2, 0)], [basis_state(2, 0).density()],
+    ])
+    def test_fewer_than_two_states(self, states):
+        with pytest.raises(ValidationError, match="at least 2"):
+            OverlapSet.from_states(states)
+
+    @pytest.mark.parametrize("pair", [
+        (basis_state(2, 0), basis_state(3, 0)),
+        (basis_state(2, 0).density(), basis_state(3, 0).density()),
+        (basis_state(2, 0), basis_state(3, 0).density()),
+        (basis_state(3, 0).density(), basis_state(2, 0)),
+    ])
+    def test_mismatched_dimensions(self, pair):
+        # numpy would stack these as a ragged array and raise its own ValueError
+        states = [pair[0], pair[0], pair[1]]
+        with pytest.raises(ValidationError, match="dimension mismatch: 2 vs 3|dimension mismatch: 3 vs 2"):
+            OverlapSet.from_states(states)
+
+    @pytest.mark.parametrize("item", [1.0, "x", None, np.array([1.0, 0.0]), np.eye(2) / 2])
+    def test_items_that_are_not_states(self, item):
+        with pytest.raises(ValidationError, match="expected PureState or DensityMatrix"):
+            OverlapSet.from_states([basis_state(2, 0), item])
+
+    @staticmethod
+    def _long_pair(excess: float) -> list[PureState]:
+        # a squared norm of 1 + excess passes PureState's 1e-12 tolerance;
+        # the state's overlap with itself is then about 1 + 2 * excess
+        s = PureState(np.array([np.sqrt(1.0 + excess), 0.0]))
+        return [s, basis_state(2, 1), s]
+
+    def test_overlap_beyond_tolerance_is_a_numerical_error(self):
+        states = self._long_pair(0.9e-12)
+        with pytest.raises(NumericalError):
+            overlap(states[0], states[2])
+        with pytest.raises(NumericalError, match="states 0 and 2"):
+            OverlapSet.from_states(states)
+        with pytest.raises(NumericalError, match="states 0 and 2"):
+            OverlapSet.from_states([s.density() for s in states])
+
+    def test_overlap_within_tolerance_is_clamped(self):
+        states = self._long_pair(0.4e-12)
+        assert overlap(states[0], states[2]) == 1.0
+        for tup in (states, [s.density() for s in states]):
+            r = OverlapSet.from_states(tup).r
+            assert r[0, 2] == r[2, 0] == 1.0 and r[0, 1] == 0.0
+
+    def test_depolarized_hexagon_matches_pairwise_route(self):
+        rng = make_rng(11)
+        for theta, nu in rng.uniform(0.0, 1.0, (20, 2)) * [np.pi, 1.0]:
+            pures = [qubit_state(t) for t in (0.0, theta, -theta, np.pi / 2, theta + np.pi / 2, -theta + np.pi / 2)]
+            states = [depolarize(p, nu) for p in pures]
+            assert _max_gram_error(states, 4) <= 4.0
+
+
+class TestOverlapSetConstruction:
+    """The constructor's mask-and-mirror is the `triu_indices` round trip, bitwise."""
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 17])
+    def test_bitwise_the_index_route(self, n):
+        rng = make_rng(n)
+        special = [0.0, -0.0, 1.0, -1e-12, -4e-13, 1.0 + 1e-12, 1.0 + 4e-13, 5e-324]
+        for _ in range(20):
+            m = rng.uniform(0.0, 1.0, (n, n))
+            m[rng.uniform(size=(n, n)) < 0.3] = rng.choice(special)
+            m[np.tril_indices(n)] = rng.choice([np.nan, -5.0, 7.0, -0.0])  # never read
+            got = OverlapSet(n, m).r
+            want = mirrored_by_indices(n, m)
+            assert got.tobytes() == want.tobytes()
+
+    def test_signed_zero_is_mirrored(self):
+        r = OverlapSet.from_upper(3, [-0.0, 0.5, 0.0]).r
+        assert np.signbit(r[0, 1]) and np.signbit(r[1, 0])
+        assert not np.signbit(r[1, 2]) and not np.signbit(r[2, 1])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_upper_is_edge_order(self, n):
+        o = OverlapSet.from_upper(n, make_rng(n).uniform(0, 1, n * (n - 1) // 2))
+        assert o.upper().tolist() == [o.r[i, j] for i, j in edge_order(n)]
+
+    def test_matrix_is_read_only(self):
+        o = OverlapSet.from_upper(3, [0.2, 0.4, 0.6])
+        with pytest.raises(ValueError):
+            o.r[0, 1] = 0.3
 
 
 class TestMakeHn:
@@ -289,6 +451,19 @@ class TestClassify:
             verdict = classify(spec, evaluate_states(spec, states), thresholds_for(spec.n))
             assert verdict.min_dimension == d and verdict.coherence_witnessed
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_threshold_rejected(self, bad):
+        # a NaN threshold is exceeded by no value, so d = 2 was silently skipped
+        with pytest.raises(ValidationError, match="threshold values must be finite"):
+            classify(make_hn(4), 1.3, [(2, bad), (3, 1.0)])
+
+    @pytest.mark.parametrize("n", [512])
+    def test_helmert_maximizer_at_large_n(self, n):
+        # the real d = n-1 maximizer, one Gram product for all n(n-1)/2 pairs
+        spec = make_hn(n)
+        verdict = classify(spec, evaluate_states(spec, _helmert_star_states(n)), thresholds_for(n))
+        assert verdict.min_dimension == n - 1, verdict.value
+
     def test_unsorted_thresholds_rejected(self):
         with pytest.raises(ValidationError):
             classify(make_hn(4), 1.0, [(3, 1.3), (2, 1.0)])
@@ -313,6 +488,24 @@ class TestHnOrder:
         for spec in (make_h_mzi(), make_h3_robust(), hmzi_as_h5,
                      InequalitySpec(5, flipped, 1.0, name="h5"), InequalitySpec(5, missing, 1.0, name="h5")):
             assert hn_order(spec) is None, spec.weights
+
+
+class TestSpecWeights:
+    @pytest.mark.parametrize("w", ["x", 1 + 2j, np.complex128(1.0), np.complex64(1.0), None,
+                                   10**400, float("nan"), float("inf")])
+    def test_non_real_or_non_finite_weight_rejected(self, w):
+        with pytest.raises(ValidationError, match=r"coefficient on edge \(0,1\)"):
+            InequalitySpec(3, {(0, 1): w}, 1.0)
+
+    @pytest.mark.parametrize("bound", ["x", 1j, np.complex128(2.0), float("nan"), 10**400])
+    def test_non_real_or_non_finite_bound_rejected(self, bound):
+        with pytest.raises(ValidationError, match="classical bound"):
+            InequalitySpec(3, {(0, 1): 1.0}, bound)
+
+    @pytest.mark.parametrize("w", [1, True, np.float32(0.5), np.int64(-2), np.float64(1.5)])
+    def test_real_weights_become_floats(self, w):
+        spec = InequalitySpec(3, {(0, 1): w}, 1.0)
+        assert type(spec.weights[(0, 1)]) is float and spec.weights[(0, 1)] == float(w)
 
 
 class TestRobustH3Spec:

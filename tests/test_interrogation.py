@@ -13,9 +13,9 @@ from overlapkit.interrogation import (
     interrogation_point,
     robustness_curve,
 )
-from overlapkit.states import ValidationError, depolarize, overlap, qubit_state
+from overlapkit.states import ValidationError, depolarize, make_rng, overlap, qubit_state
 
-from _oracles import table_s2_cells
+from _oracles import per_point_curve, table_s2_cells
 
 THETA = 5 * np.pi / 6
 
@@ -240,3 +240,70 @@ class TestRobustnessCurve:
     def test_no_gap_curve_has_none(self):
         curve = robustness_curve(1.2, [0.0, 0.1])
         assert curve.crossover_nu is None
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_bitwise_the_per_point_route(self, seed):
+        # the whole grid in one pass equals the old one-nu-at-a-time loop,
+        # bit for bit, for angles with and without a contextual gap
+        rng = make_rng(seed)
+        for _ in range(40):
+            theta = float(rng.uniform(-4.0, 4.0))
+            grid = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 300), np.linspace(0.0, 0.2, 41)])
+            got = np.array(robustness_curve(theta, grid).points)
+            want = np.array(per_point_curve(theta, grid))
+            assert got.tobytes() == want.tobytes(), theta
+
+    def test_scalar_and_array_calls_agree_bitwise(self):
+        rng = make_rng(9)
+        nus = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 500)])
+        for theta in (THETA, 0.3, 2.9):
+            want = np.array(per_point_curve(theta, nus))
+            arrays = (eta_quantum_depolarized(theta, nus), eta_nc_bound(theta, nus))
+            scalars = ([eta_quantum_depolarized(theta, nu) for nu in nus.tolist()],
+                       [eta_nc_bound(theta, nu) for nu in nus.tolist()])
+            for k in (0, 1):
+                assert np.asarray(arrays[k]).tobytes() == want[:, k + 1].tobytes()
+                assert np.asarray(scalars[k]).tobytes() == want[:, k + 1].tobytes()
+        q = rng.uniform(0.0, 1.0, nus.size)
+        per_point = [depolarized_overlap(float(a), float(b)) for a, b in zip(q, nus)]
+        assert np.asarray(depolarized_overlap(q, nus)).tobytes() == np.asarray(per_point).tobytes()
+
+    def test_empty_grid(self):
+        assert robustness_curve(THETA, []).points == ()
+
+    def test_points_are_python_floats(self):
+        for point in robustness_curve(THETA, [0.0, 0.1]).points:
+            assert all(type(x) is float for x in point)
+
+
+class TestArrayRangeCheck:
+    @pytest.mark.parametrize("f", [
+        lambda nu: depolarized_overlap(0.5, nu),
+        lambda nu: eta_quantum_depolarized(THETA, nu),
+        lambda nu: eta_nc_bound(THETA, nu),
+        lambda nu: robustness_curve(THETA, nu),
+    ])
+    @pytest.mark.parametrize("bad,shown", [(1.5, "1.5"), (-0.25, "-0.25"), (float("nan"), "nan")])
+    def test_offending_nu_is_named(self, f, bad, shown):
+        with pytest.raises(ValidationError, match=rf"nu must lie in \[0, 1\], got {shown}$"):
+            f(np.array([0.0, 0.1, bad, 0.2]))
+
+    def test_scalar_nu_checked(self):
+        with pytest.raises(ValidationError, match="got 1.5"):
+            eta_nc_bound(THETA, 1.5)
+
+
+class TestNonFiniteTheta:
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    @pytest.mark.parametrize("f", [
+        lambda t: robustness_curve(t, [0.0, 0.1]),
+        lambda t: crossover_nu(t),
+        lambda t: hexagon(t),
+        lambda t: hexagon(t, 0.3),
+        lambda t: eta_quantum_depolarized(t, 0.1),
+        lambda t: eta_nc_bound(t, 0.1),
+    ])
+    def test_rejected(self, f, theta):
+        # NaN used to run through to NaN points and a NaN crossover
+        with pytest.raises(ValidationError, match="theta must be a finite real number"):
+            f(theta)

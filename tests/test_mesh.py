@@ -986,6 +986,20 @@ class TestFidelity:
         with pytest.raises(ValidationError):
             mesh.perturbed_mesh_fidelity_study(**{"modes": 4, "n_unitaries": 2, "sigma_rad": 0.1, **kwargs})
 
+    @pytest.mark.parametrize("kwargs", [
+        {"modes": 2.5}, {"n_unitaries": 2.5}, {"modes": 3.0}, {"n_unitaries": 2.0},
+        {"modes": "4"}, {"n_unitaries": True}, {"modes": None},
+    ])
+    def test_study_rejects_non_integer_sizes(self, kwargs):
+        # 2.5 reached numpy's "'float' object cannot be interpreted as an integer"
+        with pytest.raises(ValidationError, match="integer"):
+            mesh.perturbed_mesh_fidelity_study(**{"modes": 3, "n_unitaries": 2, "sigma_rad": 0.1, "seed": 1, **kwargs})
+
+    def test_study_takes_numpy_integers(self):
+        study = mesh.perturbed_mesh_fidelity_study(np.int64(3), np.int32(2), 0.1, 1)
+        assert study.samples.shape == (2,)
+        assert study.samples.tobytes() == mesh.perturbed_mesh_fidelity_study(3, 2, 0.1, 1).samples.tobytes()
+
     @pytest.mark.parametrize("sigma", [1e308, 1.7e308])
     def test_study_with_overflowing_phase_errors_is_a_numerical_error(self, sigma):
         with pytest.raises(NumericalError, match="overflow"):
