@@ -10,8 +10,9 @@ space dimension, so the same functionals double as dimension indicators.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -63,6 +64,19 @@ def edge_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(n, 1)``: the `edge_order` entries, row-major.
+
+    A pair holds n(n-1) integers (about 134 MB at n = 4095), so only the
+    eight sizes used last are kept.
+    """
+    iu = np.triu_indices(n, 1)
+    for a in iu:
+        a.setflags(write=False)
+    return iu
+
+
 @dataclass(frozen=True)
 class OverlapSet:
     """Symmetric n x n matrix of pairwise overlaps with unit diagonal.
@@ -78,17 +92,18 @@ class OverlapSet:
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError("an overlap set needs at least 2 nodes")
-        m = np.array(self.r, dtype=float, copy=True)
+        m = np.asarray(self.r, dtype=float)
         if m.shape != (self.n, self.n):
             raise ValidationError(f"overlap matrix must be {self.n}x{self.n}")
-        lower = np.tri(self.n, dtype=bool)  # the diagonal and below
-        up = np.where(lower, 0.0, m)
+        iu = _upper_indices(self.n)
+        up = m[iu]  # a copy; the diagonal and lower triangle are never read
         if not np.all((up >= -_OVERLAP_RANGE) & (up <= 1.0 + _OVERLAP_RANGE)):  # also rejects NaN
             raise ValidationError("overlaps must lie in [0, 1]")
         np.clip(up, 0.0, 1.0, out=up)
-        # mirror by selection, not by adding up.T: a -0.0 keeps its sign
-        out = np.where(lower, up.T, up)
-        np.fill_diagonal(out, 1.0)
+        # mirror by assignment, not by adding the transpose: a -0.0 keeps its sign
+        out = np.eye(self.n)
+        out[iu] = up
+        out[iu[1], iu[0]] = up
         out.setflags(write=False)
         object.__setattr__(self, "r", out)
 
@@ -140,7 +155,7 @@ class OverlapSet:
 
     def upper(self) -> np.ndarray:
         """The strict upper triangle, row-major: the `edge_order` entries."""
-        return self.r[~np.tri(self.n, dtype=bool)]
+        return self.r[_upper_indices(self.n)]
 
     def restrict(self, nodes: Sequence[int]) -> "OverlapSet":
         """Sub-graph on the given nodes, relabeled 0..len(nodes)-1."""
@@ -227,10 +242,16 @@ def hn_order(spec: InequalitySpec) -> int | None:
 
     The one test of whether a spec is h_n: its name and classical bound are
     ignored, so a renamed h_n file is h_n and other weights saved under
-    the name "h5" are not.
+    the name "h5" are not. Decided from the edges alone, without building
+    `make_hn(n)`: the constructor keeps only edges 0 <= i < j < n, so
+    n(n-1)/2 of them is every edge, and each must carry +1 from node 0
+    and -1 elsewhere.
     """
-    if spec.n >= 3 and spec.weights == make_hn(spec.n).weights:
-        return spec.n
+    n, weights = spec.n, spec.weights
+    if n < 3 or len(weights) != n * (n - 1) // 2:
+        return None
+    if all(w == (1.0 if i == 0 else -1.0) for (i, _), w in weights.items()):
+        return n
     return None
 
 

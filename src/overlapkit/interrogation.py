@@ -49,6 +49,9 @@ __all__ = [
 
 NOISE_ENVELOPE = 0.005  # model validity cap for eps, n1, n2
 
+# the spec `h3_robust` evaluates; `make_h3_robust` hands callers their own
+_H3_ROBUST = make_h3_robust()
+
 
 @dataclass(frozen=True)
 class InterrogationPoint:
@@ -146,13 +149,14 @@ def eta_noisy(r: float, eps: float, n1: float, n2: float, sign: int = +1) -> flo
     return interrogation_point(r, eps=eps, n1=n1, n2=n2, sign=sign).eta
 
 
-def _noise_weights(nu) -> np.ndarray:
-    """``nu`` as a float array, every entry checked to lie in [0, 1]."""
+def _noise_terms(nu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``nu`` as a float array, every entry checked to lie in [0, 1], with
+    the terms every depolarized overlap shares: ``(1-nu)^2`` and ``nu^2/2``."""
     nu = np.asarray(nu, dtype=float)
     outside = ~((nu >= 0.0) & (nu <= 1.0))  # also catches NaN
     if outside.any():
         raise ValidationError(f"nu must lie in [0, 1], got {float(nu[outside][0])!r}")
-    return nu
+    return nu, _squared(1.0 - nu), _squared(nu) / 2.0
 
 
 def _squared(x):
@@ -171,9 +175,10 @@ def _check_angle(theta) -> None:
         raise ValidationError(f"theta must be a finite real number, got {theta!r}")
 
 
-def _depolarized(q, nu):
-    """`depolarized_overlap` without the check of ``nu``."""
-    return _squared(1.0 - nu) * q + nu - _squared(nu) / 2.0
+def _depolarized(q, terms):
+    """``(1-nu)^2 q + nu - nu^2/2`` from the `_noise_terms` of ``nu``."""
+    nu, a, half_sq = terms
+    return a * q + nu - half_sq
 
 
 def depolarized_overlap(q, nu):
@@ -185,7 +190,24 @@ def depolarized_overlap(q, nu):
     ``eps_i = nu - nu^2/2`` used by the robust bound. Takes arrays of
     ``q`` and ``nu`` elementwise.
     """
-    return _depolarized(q, _noise_weights(nu))
+    return _depolarized(q, _noise_terms(nu))
+
+
+def _efficiencies(theta, nu):
+    """`eta_quantum_depolarized` and `eta_nc_bound` at ``theta`` over ``nu``.
+
+    Checks ``theta`` and ``nu`` once and forms the terms the two share
+    once: the noise terms, ``Q = Tr(rho_0 rho_theta)`` and ``Q + 1``.
+    """
+    _check_angle(theta)
+    terms = _noise_terms(nu)
+    nu, _, half_sq = terms
+    eps = nu - half_sq
+    # Tr(rho_0 rho_-theta) equals Tr(rho_0 rho_theta)
+    q = _depolarized(np.cos(theta) ** 2, terms)
+    r_plus_minus = _depolarized(np.cos(2.0 * theta) ** 2, terms)
+    q1 = q + 1.0
+    return q / q1, (1.0 + 3.0 * eps - q + r_plus_minus) / q1
 
 
 def eta_quantum_depolarized(theta, nu):
@@ -194,9 +216,7 @@ def eta_quantum_depolarized(theta, nu):
     ``Q / (Q + 1)`` with ``Q = Tr(rho_0 rho_theta)`` after depolarization;
     the pure overlap is cos^2(theta). Takes an array of ``nu``.
     """
-    _check_angle(theta)
-    q = _depolarized(np.cos(theta) ** 2, _noise_weights(nu))
-    return q / (q + 1.0)
+    return _efficiencies(theta, nu)[0]
 
 
 def eta_nc_bound(theta, nu):
@@ -211,13 +231,7 @@ def eta_nc_bound(theta, nu):
     lowering the quantum curve, so the two cross at `crossover_nu`.
     Takes an array of ``nu``.
     """
-    _check_angle(theta)
-    nu = _noise_weights(nu)
-    eps = nu - _squared(nu) / 2.0
-    # Tr(rho_0 rho_-theta) equals Tr(rho_0 rho_theta)
-    q = _depolarized(np.cos(theta) ** 2, nu)
-    r_plus_minus = _depolarized(np.cos(2.0 * theta) ** 2, nu)
-    return (1.0 + 3.0 * eps - q + r_plus_minus) / (q + 1.0)
+    return _efficiencies(theta, nu)[1]
 
 
 def crossover_nu(theta: float) -> float:
@@ -262,15 +276,16 @@ def h3_robust(frag: HexagonFragment) -> float:
     ``r01 + r02 - r12 - r03 - r14 - r25``; values above 1 witness
     contextuality provided the antipodal equivalences hold.
     """
-    return evaluate_states(make_h3_robust(), list(frag.states))
+    return evaluate_states(_H3_ROBUST, list(frag.states))
 
 
 def robustness_curve(theta: float, nu_grid) -> RobustnessCurve:
     """Quantum vs noncontextual efficiency on a noise grid, with crossover.
 
-    Both efficiencies are evaluated on the whole grid at once; each point
-    is bitwise the value of the scalar call at its ``nu``.
+    Both efficiencies are evaluated on the whole grid at once, from one
+    check of the inputs; each point is bitwise the value of the scalar
+    call at its ``nu``.
     """
     nu = np.asarray(nu_grid, dtype=float)
-    eq, en = eta_quantum_depolarized(theta, nu), eta_nc_bound(theta, nu)
+    eq, en = _efficiencies(theta, nu)
     return RobustnessCurve(theta=theta, points=tuple(zip(nu.tolist(), eq.tolist(), en.tolist())))

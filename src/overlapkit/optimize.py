@@ -87,10 +87,19 @@ class MaximizationResult:
 
 @dataclass(frozen=True)
 class SdpResult:
-    """Optimum of the quadratic program over the spectrahedron."""
+    """Optimum of the quadratic program over the spectrahedron.
+
+    The optimum is diagonal in the computational basis; ``spectrum`` holds
+    that diagonal (read-only), and ``x_star`` builds the density matrix from
+    it, through the validating constructor, each time it is read.
+    """
 
     value: float
-    x_star: DensityMatrix
+    spectrum: np.ndarray
+
+    @property
+    def x_star(self) -> DensityMatrix:
+        return DensityMatrix(np.diag(self.spectrum).astype(np.complex128))
 
 
 @dataclass(frozen=True)
@@ -274,7 +283,8 @@ def sdp_upper_bound(n: int, d: int) -> SdpResult:
     if not 2 <= d <= n - 1:
         raise ValidationError(f"dimension must satisfy 2 <= d <= n-1, got d={d} for n={n}")
     lam, value = _optimal_mean(n, d)
-    return SdpResult(value=value, x_star=DensityMatrix(np.diag(lam).astype(np.complex128)))
+    lam.setflags(write=False)
+    return SdpResult(value=value, spectrum=lam)
 
 
 # Sets per block of a Haar chunk. A block's complex temporaries (states,
@@ -459,8 +469,11 @@ def uniform_pure_ensemble(rho: DensityMatrix, m: int) -> list[PureState]:
     cols = np.zeros((d, m), dtype=np.complex128)
     cols[:, :d] = vecs[:, ::-1]
     fourier = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / np.sqrt(m)
+    scaled = np.sqrt(m) * (cols * np.sqrt(lam))
     out = []
+    # one matrix-vector product per state: a single matrix product rounds
+    # differently in the last bits
     for k in range(m):
-        v = np.sqrt(m) * (cols * np.sqrt(lam)) @ fourier[:, k]
+        v = scaled @ fourier[:, k]
         out.append(PureState(v / np.linalg.norm(v)))
     return out

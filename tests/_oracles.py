@@ -179,6 +179,27 @@ def mirrored_by_indices(n: int, m: np.ndarray) -> np.ndarray:
     return out
 
 
+def uniform_pure_ensemble_reference(rho, m: int) -> list:
+    """`optimize.uniform_pure_ensemble` as it was: the eigenvectors are
+    rescaled inside the per-state loop, then one matrix-vector product
+    per state. No rank check."""
+    from overlapkit.states import PureState
+
+    vals, vecs = np.linalg.eigh(rho.entries)
+    vals = np.clip(vals, 0.0, None)
+    d = rho.dim
+    lam = np.zeros(m)
+    lam[:d] = vals[::-1]
+    cols = np.zeros((d, m), dtype=np.complex128)
+    cols[:, :d] = vecs[:, ::-1]
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / np.sqrt(m)
+    out = []
+    for k in range(m):
+        v = np.sqrt(m) * (cols * np.sqrt(lam)) @ fourier[:, k]
+        out.append(PureState(v / np.linalg.norm(v)))
+    return out
+
+
 def per_point_curve(theta: float, nu_grid) -> tuple[tuple[float, float, float], ...]:
     """The robustness curve one noise level at a time, in float arithmetic.
 

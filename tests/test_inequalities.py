@@ -489,6 +489,54 @@ class TestHnOrder:
                      InequalitySpec(5, flipped, 1.0, name="h5"), InequalitySpec(5, missing, 1.0, name="h5")):
             assert hn_order(spec) is None, spec.weights
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_one_edge_off_is_not_hn(self, n):
+        h = make_hn(n).weights
+        for edge in h:
+            missing = {e: w for e, w in h.items() if e != edge}
+            flipped = {**h, edge: -h[edge]}
+            zeroed = {**h, edge: 0.0}
+            for weights in (missing, flipped, zeroed):
+                assert hn_order(InequalitySpec(n, weights, 1.0, name=f"h{n}")) is None, (edge, weights)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_smaller_hn_with_zero_weight_edges_is_not_hn(self, n):
+        # h_n on the first n nodes of an (n+1)-node spec: one zero-weight
+        # extra edge, and every edge to the new node at weight zero
+        h = make_hn(n).weights
+        one_extra = {**h, (0, n): 0.0}
+        all_extra = {**h, **{(i, n): 0.0 for i in range(n)}}
+        assert len(all_extra) == (n + 1) * n // 2
+        for weights in (one_extra, all_extra):
+            assert hn_order(InequalitySpec(n + 1, weights, 1.0, name=f"h{n + 1}")) is None, weights
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=6), st.data())
+    def test_same_verdict_as_comparing_with_make_hn(self, n, data):
+        # the h_n pattern (weights as floats or ints), with an edge now and
+        # then dropped or given another weight
+        weights = {}
+        for i, j in edge_order(n):
+            roll = data.draw(st.integers(0, 19))
+            if roll == 1:
+                weights[(i, j)] = data.draw(st.sampled_from([1.0, -1.0, 0.0, -0.0, 2.0, 0.5]))
+            elif roll > 1:
+                weights[(i, j)] = data.draw(st.sampled_from([1.0, 1])) * (1 if i == 0 else -1)
+        spec = InequalitySpec(n, weights, 1.0)
+        want = n if n >= 3 and spec.weights == make_hn(n).weights else None
+        assert hn_order(spec) == want
+
+    def test_builds_no_second_spec(self, monkeypatch):
+        import overlapkit.inequalities as ineq
+
+        spec = make_hn(9)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("hn_order must not build make_hn")
+
+        monkeypatch.setattr(ineq, "make_hn", forbidden)
+        assert hn_order(spec) == 9
+
 
 class TestSpecWeights:
     @pytest.mark.parametrize("w", ["x", 1 + 2j, np.complex128(1.0), np.complex64(1.0), None,

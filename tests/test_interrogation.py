@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from overlapkit import interrogation
+from overlapkit.inequalities import make_h3_robust
 from overlapkit.interrogation import (
     crossover_nu,
     depolarized_overlap,
@@ -227,6 +229,15 @@ class TestH3Robust:
         vals = [h3_robust(hexagon(THETA, nu)) for nu in np.linspace(0, 1, 11)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    def test_callers_get_their_own_spec(self):
+        frag = hexagon(THETA, 0.02)
+        before = h3_robust(frag)
+        spec = make_h3_robust()
+        assert spec is not make_h3_robust()
+        spec.weights[(0, 1)] = 5.0  # the dict is the caller's own
+        assert make_h3_robust().weights[(0, 1)] == 1.0
+        assert h3_robust(frag) == before
+
 
 class TestRobustnessCurve:
     def test_points_and_crossover(self):
@@ -267,6 +278,13 @@ class TestRobustnessCurve:
         q = rng.uniform(0.0, 1.0, nus.size)
         per_point = [depolarized_overlap(float(a), float(b)) for a, b in zip(q, nus)]
         assert np.asarray(depolarized_overlap(q, nus)).tobytes() == np.asarray(per_point).tobytes()
+
+    def test_noise_grid_checked_once(self, monkeypatch):
+        calls = []
+        terms = interrogation._noise_terms
+        monkeypatch.setattr(interrogation, "_noise_terms", lambda nu: calls.append(1) or terms(nu))
+        robustness_curve(THETA, np.linspace(0.0, 0.2, 41))
+        assert len(calls) == 1
 
     def test_empty_grid(self):
         assert robustness_curve(THETA, []).points == ()

@@ -27,6 +27,7 @@ from _oracles import (
     hn_optimum_exact_pair,
     projected_gradient_optimum,
     quadratic_optimum,
+    uniform_pure_ensemble_reference,
 )
 
 SEEDS = [0, 1, 2]
@@ -183,6 +184,25 @@ class TestSdpUpperBound:
         obj = a * float(np.vdot(x, x).real) + b * float(x[0, 0].real) + c
         assert abs(obj - res.value) <= 1e-12
 
+    def test_x_star_is_built_from_the_spectrum_when_read(self, monkeypatch):
+        res = sdp_upper_bound(9, 4)
+        lam, value = optimize._optimal_mean(9, 4)
+        assert res.value == value and res.spectrum.tobytes() == lam.tobytes()
+        with pytest.raises(ValueError):
+            res.spectrum[0] = 0.5
+        want = DensityMatrix(np.diag(lam).astype(np.complex128)).entries
+        assert res.x_star.entries.tobytes() == want.tobytes()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the bound value must not build a density matrix")
+
+        # the value, and every cell of the table, leave the matrix unbuilt
+        monkeypatch.setattr(optimize, "DensityMatrix", forbidden)
+        assert sdp_upper_bound(30, 12).value == pytest.approx(quadratic_optimum(30, 12), abs=1e-12)
+        assert all(c.upper_bound is not None for c in dimension_thresholds(6, d_max=3, restarts=1)[2:])
+        with pytest.raises(AssertionError):
+            sdp_upper_bound(30, 12).x_star
+
     @pytest.mark.parametrize("n", [5, 8, 12])
     def test_dimension_monotonicity(self, n):
         vals = [sdp_upper_bound(n, d).value for d in range(2, n)]
@@ -256,6 +276,17 @@ class TestUniformEnsemble:
             ens = uniform_pure_ensemble(rho, m)
             recon = sum(s.density().entries for s in ens) / m
             assert np.max(np.abs(recon - rho.entries)) < 1e-10
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (5, 4), (7, 3), (12, 11), (33, 20), (64, 63), (128, 100)])
+    def test_bitwise_the_per_state_rescaling(self, n, d):
+        # the star ensemble's mean, and a random full-rank state
+        rho = sdp_upper_bound(n, d).x_star
+        z = make_rng(n).standard_normal((d, d)) + 1j * make_rng(d).standard_normal((d, d))
+        full = DensityMatrix((z @ z.conj().T) / np.trace(z @ z.conj().T).real)
+        for r in (rho, full):
+            got = uniform_pure_ensemble(r, n - 1)
+            want = uniform_pure_ensemble_reference(r, n - 1)
+            assert b"".join(s.amplitudes.tobytes() for s in got) == b"".join(s.amplitudes.tobytes() for s in want)
 
     def test_rank_requirement(self):
         rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))

@@ -101,6 +101,8 @@ def mesh_inputs(tmp_path):
      "fidelity_study", "manifest-mesh-fidelity.json"),
     (["mesh", "counts", "--states", "states.json", "--trials", "200", "--seed", "4"], "count_estimate.json",
      "count_estimate", "manifest-mesh-counts.json"),
+    (["mesh", "calibrate", "--sweeps", "sweeps.csv"], "calibration.json", "calibration_model",
+     "manifest-mesh-calibrate.json"),
 ])
 def test_mesh_json_outputs_match_schemas(mesh_inputs, monkeypatch, argv, output, schema, manifest):
     monkeypatch.chdir(mesh_inputs)
@@ -113,6 +115,20 @@ def test_mesh_json_outputs_match_schemas(mesh_inputs, monkeypatch, argv, output,
         assert len(record["records"]) == 10  # every edge of the pentagon
         for rec in record["records"].values():
             assert_matches(rec, "count_record")
+
+
+@pytest.mark.parametrize("argv, known", [
+    (["evaluate", "--input", "states.json", "--inequality", "hmzi"], False),
+    (["evaluate", "--input", "states.json", "--inequality", "h5", "--thresholds"], True),
+])
+def test_evaluate_verdict_matches_schema(mesh_inputs, monkeypatch, argv, known):
+    monkeypatch.chdir(mesh_inputs)
+    out = mesh_inputs / "out"
+    assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
+    record = json.loads((out / "verdict.json").read_text())
+    assert_matches(record, "witness_verdict")
+    assert bool(record["thresholds_used"]) == known
+    assert_matches(json.loads((out / "manifest-evaluate.json").read_text()), "run_manifest")
 
 
 COUNT_RECORD = {"counts": [3, 1], "total_trials": 4, "estimated_probability": [0.75, 0.25], "sigma_c": [0.4, 0.25]}
