@@ -25,6 +25,8 @@ from .states import (
     StateLike,
     ValidationError,
     _as_density_array,
+    _is_finite_real,
+    _is_int,
 )
 
 __all__ = [
@@ -47,16 +49,6 @@ __all__ = [
 # relative margin within which a value counts as equal to a dimension
 # threshold: an exact maximizer evaluates a few ulps off its own maximum
 THRESHOLD_ROUNDING = 1e-12
-
-
-def _is_finite_real(x) -> bool:
-    """True for a finite real number; False for NaN, inf, complex or text."""
-    if isinstance(x, (complex, np.complexfloating)):  # math.isfinite would drop the imaginary part
-        return False
-    try:
-        return math.isfinite(x)
-    except (TypeError, OverflowError):  # not real, or an int past the float range
-        return False
 
 
 def edge_order(n: int) -> list[tuple[int, int]]:
@@ -90,8 +82,8 @@ class OverlapSet:
     r: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValidationError("an overlap set needs at least 2 nodes")
+        if not _is_int(self.n) or self.n < 2:
+            raise ValidationError(f"an overlap set needs an integer number of nodes, at least 2, got {self.n!r}")
         m = np.asarray(self.r, dtype=float)
         if m.shape != (self.n, self.n):
             raise ValidationError(f"overlap matrix must be {self.n}x{self.n}")
@@ -109,13 +101,11 @@ class OverlapSet:
 
     @classmethod
     def from_upper(cls, n: int, upper: Sequence[float]) -> "OverlapSet":
-        """Build from the canonical upper-triangular edge list."""
-        edges = edge_order(n)
-        if len(upper) != len(edges):
-            raise ValidationError(f"expected {len(edges)} entries for n={n}, got {len(upper)}")
+        """Build from the canonical upper-triangular edge list, counted before any n x n array."""
+        if not (_is_int(n) and n >= 0 and len(upper) == n * (n - 1) // 2):
+            raise ValidationError(f"expected n(n-1)/2 entries for a whole number n, got {len(upper)} for n={n!r}")
         m = np.eye(n)
-        for (i, j), v in zip(edges, upper):
-            m[i, j] = v
+        m[_upper_indices(n)] = upper
         return cls(n, m)
 
     @classmethod
@@ -178,11 +168,12 @@ class InequalitySpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValidationError("inequality needs at least 2 nodes")
+        if not _is_int(self.n) or self.n < 2:
+            raise ValidationError(f"an inequality needs an integer number of nodes, at least 2, got {self.n!r}")
         clean = {}
         for (i, j), w in self.weights.items():
-            if not (0 <= i < j < self.n):
+            # exact ints skip the full test: this runs n(n-1)/2 times for h_n
+            if not ((type(i) is type(j) is int or _is_int(i) and _is_int(j)) and 0 <= i < j < self.n):
                 raise ValidationError(f"edge ({i},{j}) invalid for n={self.n}")
             if not _is_finite_real(w):
                 raise ValidationError(f"coefficient on edge ({i},{j}) must be a finite real number, got {w!r}")
@@ -228,12 +219,7 @@ def make_hn(n: int) -> InequalitySpec:
     """
     if n < 3:
         raise ValidationError("h_n is defined for n >= 3")
-    weights: dict[tuple[int, int], float] = {}
-    for k in range(1, n):
-        weights[(0, k)] = 1.0
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            weights[(i, j)] = -1.0
+    weights = {(i, j): 1.0 if i == 0 else -1.0 for i in range(n) for j in range(i + 1, n)}
     return InequalitySpec(n=n, weights=weights, classical_bound=1.0, name=f"h{n}")
 
 

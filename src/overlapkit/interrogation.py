@@ -23,13 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequalities import _is_finite_real, evaluate_states, make_h3_robust
-from .states import (
-    DensityMatrix,
-    ValidationError,
-    depolarize,
-    qubit_state,
-)
+from .inequalities import evaluate_states, make_h3_robust
+from .states import DensityMatrix, ValidationError, _is_finite_real, depolarize, qubit_state
 
 __all__ = [
     "InterrogationPoint",

@@ -34,6 +34,8 @@ from .states import (
     NumericalError,
     PureState,
     ValidationError,
+    _is_finite_real,
+    _is_int,
     basis_state,
     make_rng,
     overlap,
@@ -89,11 +91,7 @@ _TWO_PI = 2.0 * math.pi
 def _mod_2pi(x: float) -> float:
     """``x`` reduced to [0, 2 pi), as ``np.mod`` does; a non-finite or
     non-real angle is a validation error."""
-    try:
-        finite = math.isfinite(x)
-    except (TypeError, OverflowError):  # not a real number, or an int past the float range
-        finite = False
-    if not finite:
+    if not _is_finite_real(x):
         raise ValidationError(f"mesh angles must be finite real numbers, got {x!r}")
     return float(x) % _TWO_PI
 
@@ -120,11 +118,7 @@ def clements_layout(m: int) -> list[tuple[int, int]]:
     """
     if m < 2:
         raise ValidationError("a mesh needs at least 2 modes")
-    slots = []
-    for col in range(m):
-        for row in range(col % 2, m - 1, 2):
-            slots.append((row, col))
-    return slots
+    return [(row, col) for col in range(m) for row in range(col % 2, m - 1, 2)]
 
 
 @dataclass(frozen=True)
@@ -140,19 +134,22 @@ class MeshConfig:
     output_phases: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        expected = sorted(clements_layout(self.modes))
-        got = sorted((c.row, c.column) for c in self.cells)
-        if got != expected:
+        if not _is_int(self.modes) or self.modes < 2:
+            raise ValidationError(f"a mesh needs an integer number of modes, at least 2, got {self.modes!r}")
+        cells = tuple(self.cells)
+        # the count first: the layout is O(modes^2) to build
+        count = self.modes * (self.modes - 1) // 2
+        if len(cells) != count or sorted((c.row, c.column) for c in cells) != sorted(clements_layout(self.modes)):
             raise ValidationError(
                 f"cell layout does not tile the {self.modes}-mode rectangle "
-                f"({len(got)} cells, expected {len(expected)})"
+                f"({len(cells)} cells, expected {count})"
             )
         if self.output_phases is not None:
             if len(self.output_phases) != self.modes:
                 raise ValidationError("output_phases must list one phase per mode")
             object.__setattr__(self, "output_phases",
                                tuple(_mod_2pi(p) for p in self.output_phases))
-        object.__setattr__(self, "cells", tuple(self.cells))
+        object.__setattr__(self, "cells", cells)
 
 
 def mzi_transfer(theta: float, phi: float) -> np.ndarray:
@@ -250,11 +247,6 @@ def _haar_from_ginibre(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def _is_int(x) -> bool:
-    """True for a Python or numpy integer that is not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def haar_random_unitary(m: int, seed) -> np.ndarray:
@@ -823,17 +815,13 @@ class AngleNoise:
     additive: float = 0.0
 
     def __post_init__(self):
-        if self.relative < 0 or self.additive < 0:
-            raise ValidationError("noise magnitudes must be nonnegative")
+        if not all(_is_finite_real(x) and x >= 0 for x in (self.relative, self.additive)):
+            raise ValidationError(f"noise magnitudes must be finite and nonnegative, got {self!r}")
 
-    def perturb(self, angles: np.ndarray, rng: np.random.Generator, corners: bool = False) -> np.ndarray:
-        """One perturbation draw; ``corners=True`` samples the error-cube corners."""
-        if corners:
-            u = np.sign(rng.uniform(-1.0, 1.0, angles.shape))
-            v = np.sign(rng.uniform(-1.0, 1.0, angles.shape))
-        else:
-            u = rng.uniform(-1.0, 1.0, angles.shape)
-            v = rng.uniform(-1.0, 1.0, angles.shape)
+    def perturb(self, angles: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One perturbation draw: u, then v, uniform in [-1, 1] per angle."""
+        u = rng.uniform(-1.0, 1.0, angles.shape)
+        v = rng.uniform(-1.0, 1.0, angles.shape)
         return angles * (1.0 + self.relative * u) + self.additive * v
 
 
@@ -872,8 +860,7 @@ def hyperspherical_angles(state: PureState) -> tuple[np.ndarray, np.ndarray]:
         v = v * np.exp(-1j * np.angle(v[0]))
     mags = np.abs(v)
     tails = np.sqrt(np.maximum(np.cumsum(mags[::-1] ** 2)[::-1], 0.0))
-    thetas = np.array([np.arctan2(tails[k + 1] if k + 1 < d else 0.0, mags[k])
-                       for k in range(d - 1)])
+    thetas = np.array([np.arctan2(tails[k + 1], mags[k]) for k in range(d - 1)])
     phis = np.array([float(np.angle(v[k])) if mags[k] > 0 else 0.0 for k in range(1, d)])
     return thetas, phis
 
@@ -917,8 +904,8 @@ def overlap_via_counts(
     record nothing; dark counts fire on otherwise empty trials, so counts
     never exceed ``trials``.
     """
-    if trials < 1:
-        raise ValidationError("need at least one trial")
+    if not _is_int(trials) or trials < 1:
+        raise ValidationError(f"need an integer number of trials, at least one, got {trials!r}")
     if not 0.0 <= loss < 1.0 or not 0.0 <= dark < 1.0:
         raise ValidationError("loss and dark rates must lie in [0, 1)")
     rng = make_rng(seed)
@@ -949,16 +936,15 @@ def estimate_inequality_via_counts(
     """
     if len(states) != spec.n:
         raise ValidationError(f"spec expects {spec.n} states, got {len(states)}")
-    edges = sorted(spec.weights)
-    seeds = split_seeds(seed, len(edges))
+    # the spec keeps its edges sorted, so each edge keeps its child stream
+    seeds = split_seeds(seed, len(spec.weights))
     records: dict[tuple[int, int], CountRecord] = {}
     value = 0.0
     var = 0.0
-    for (i, j), ss in zip(edges, seeds):
+    for ((i, j), w), ss in zip(spec.weights.items(), seeds):
         rec = overlap_via_counts(states[i], states[j], trials_per_overlap,
                                  np.random.Generator(np.random.PCG64(ss)), noise=noise)
         records[(i, j)] = rec
-        w = spec.weights[(i, j)]
         value += w * rec.estimated_probability[0]
         var += (w * rec.sigma_c[0]) ** 2
     return CountEstimate(value=value, sigma=float(np.sqrt(var)), records=records)
@@ -1063,14 +1049,12 @@ class CalibrationModel:
         k = t0.size
         if a.shape != (k, k) or b.shape != (k,):
             raise ValidationError("alpha must be k x k and beta length k")
-        cols = tuple(int(c) for c in self.heater_columns)
-        if len(cols) != k:
-            raise ValidationError("need one column index per heater")
-        for i in range(k):
-            for j in range(k):
-                if a[i, j] != 0.0 and cols[i] != cols[j]:
-                    raise ValidationError(
-                        f"alpha[{i},{j}] couples heaters in different columns")
+        if len(self.heater_columns) != k or not all(map(_is_int, self.heater_columns)):
+            raise ValidationError(f"need one integer column index per heater, got {self.heater_columns!r}")
+        cols = tuple(map(int, self.heater_columns))
+        coupled = np.argwhere((a != 0.0) & np.not_equal.outer(cols, cols))
+        if coupled.size:
+            raise ValidationError(f"alpha[{coupled[0, 0]},{coupled[0, 1]}] couples heaters in different columns")
         for arr in (t0, a, b):
             arr.setflags(write=False)
         object.__setattr__(self, "theta0", t0)
@@ -1215,14 +1199,12 @@ def _fit_single_heater(currents: np.ndarray, powers: np.ndarray) -> tuple[float,
     return float(np.mod(theta0_f, 2.0 * np.pi)), alpha_f, beta_f, residual
 
 
-def calibration_fit(
-    sweeps: Sequence[tuple[np.ndarray, np.ndarray]],
-    heater_columns: Sequence[int] | None = None,
-) -> tuple[CalibrationModel, np.ndarray]:
+def calibration_fit(sweeps: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[CalibrationModel, np.ndarray]:
     """Fit the calibration model from per-heater (current, cross-power) sweeps.
 
     Heaters are characterized in isolation, so the fitted coupling matrix
-    is diagonal. Returns the model and the per-heater RMS power residuals.
+    is diagonal; heater h sits in column h. Returns the model and the
+    per-heater RMS power residuals.
     Raises `ValidationError` for a non-finite sample, and
     `CalibrationCoverageError` when a sweep is too short or spans
     less than 2*pi of induced phase (a flat sweep is unidentifiable).
@@ -1230,7 +1212,6 @@ def calibration_fit(
     k = len(sweeps)
     if k == 0:
         raise ValidationError("need at least one heater sweep")
-    cols = tuple(range(k)) if heater_columns is None else tuple(int(c) for c in heater_columns)
     theta0 = np.zeros(k)
     alpha = np.zeros((k, k))
     beta = np.zeros(k)
@@ -1243,7 +1224,7 @@ def calibration_fit(
         if not (np.all(np.isfinite(cur)) and np.all(np.isfinite(pw))):
             raise ValidationError(f"sweep {h}: currents and powers must be finite")
         theta0[h], alpha[h, h], beta[h], residuals[h] = _fit_single_heater(cur, pw)
-    return CalibrationModel(theta0=theta0, alpha=alpha, beta=beta, heater_columns=cols), residuals
+    return CalibrationModel(theta0=theta0, alpha=alpha, beta=beta, heater_columns=tuple(range(k))), residuals
 
 
 # --- fidelity ---------------------------------------------------------------

@@ -27,6 +27,7 @@ from .states import (
     DensityMatrix,
     PureState,
     ValidationError,
+    _is_int,
     haar_random_pure_batch,
     make_rng,
     split_seeds,
@@ -55,6 +56,10 @@ def _thread_count() -> int:
         return 1
 
 
+# The ascent's step budget, and the tangent-gradient norm that is stationary
+_MAX_ITER = 4000
+_GRAD_TOL = 1e-9
+
 # An h_n ascent stops once a restart comes this close to the closed-form
 # optimum. The float objective of an exact maximizer sits a few ulps
 # (~1e-15) from `_optimal_mean`, so the gap is reachable, and it stays
@@ -71,7 +76,7 @@ class MaximizationResult:
     value comes within ``_CERTIFIED_GAP`` of the known h_n optimum. The
     diagnostics describe the whole run: ``iterations`` counts ascent
     steps, ``restarts_converged`` the stationary or certified restarts,
-    and ``hit_max_iter`` is True when the ascent stopped after ``max_iter``
+    and ``hit_max_iter`` is True when the ascent stopped after ``_MAX_ITER``
     steps with restarts still moving and none certified. They are not
     serialized.
     """
@@ -136,8 +141,6 @@ def maximize_pure(
     d: int,
     restarts: int = 200,
     seed: int | np.random.Generator = 0,
-    max_iter: int = 4000,
-    grad_tol: float = 1e-9,
 ) -> MaximizationResult:
     """Multi-start gradient ascent over tuples of d-dimensional pure states.
 
@@ -146,11 +149,11 @@ def maximize_pure(
     composite projected onto the tangent space of the product of spheres,
     with a step-halving line search per restart. The live restarts advance
     together as one batched computation. A restart that turns stationary
-    (gradient test passed, or step at the float floor) never moves again,
-    so it leaves the batch; the Gram matrix of an accepted trial is kept
-    for the next gradient. Every restart follows the same floating-point
-    path as in a batch of all restarts. Deterministic for a fixed seed;
-    ties between restarts go to the first (seed-ordered) tuple.
+    (gradient norm at most ``_GRAD_TOL``, or step at the float floor) never
+    moves again, so it leaves the batch; the Gram matrix of an accepted
+    trial is kept for the next gradient. Every restart follows the same
+    floating-point path as in a batch of all restarts. Deterministic for a
+    fixed seed; ties between restarts go to the first (seed-ordered) tuple.
 
     When the spec is h_n (`inequalities.hn_order`) and d >= 2, the optimum is
     known in closed form (`_optimal_mean`, as `thresholds_for` gives it),
@@ -158,7 +161,7 @@ def maximize_pure(
     comes within ``_CERTIFIED_GAP`` of it: no restart can do better than
     the bound, so further steps only polish a degenerate maximizer set.
     Every other functional, and d = 1, runs until each restart is
-    stationary or ``max_iter`` steps are spent.
+    stationary or ``_MAX_ITER`` (4000) steps are spent.
 
     The returned value is recomputed through `evaluate_states`, so it is a
     certified lower bound on the true maximum.
@@ -167,10 +170,6 @@ def maximize_pure(
         raise ValidationError("dimension must be at least 1")
     if restarts < 1:
         raise ValidationError("need at least one restart")
-    if max_iter < 0:
-        raise ValidationError("max_iter must be non-negative")
-    if not grad_tol >= 0:  # also rejects NaN
-        raise ValidationError("grad_tol must be a non-negative number")
     rng = make_rng(seed)
     n = spec.n
     w = spec.weight_matrix()
@@ -189,7 +188,7 @@ def maximize_pure(
     f = f_all.copy()
     iterations = 0
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         # gram[b, i, j] = <psi_j|psi_i>, so the ascent direction for state i
         # is sum_j w_ij gram[i, j] psi_j
         grad = (w * gram) @ psi
@@ -197,7 +196,7 @@ def maximize_pure(
         radial = (psi.conj() * grad).sum(axis=2, keepdims=True)
         tangent = grad - radial * psi
         gnorm_sq = (tangent.real**2 + tangent.imag**2).sum(axis=(1, 2))
-        grad_ok = gnorm_sq <= grad_tol**2
+        grad_ok = gnorm_sq <= _GRAD_TOL**2
         active = ~grad_ok & (step > 1e-15)
         if np.count_nonzero(active) < live.size:
             # a stationary restart never moves again: file it and drop it
@@ -278,14 +277,17 @@ def sdp_upper_bound(n: int, d: int) -> SdpResult:
     upper-bounds every pure-state realization value of h_n at dimension
     d, and `mesh._star_ensemble_states` reaches it, so the bound is tight.
     """
-    if n < 4:
-        raise ValidationError("the quadratic bound is defined for n >= 4")
-    if not 2 <= d <= n - 1:
+    if not _is_int(n) or n < 4:
+        raise ValidationError(f"the quadratic bound is defined for integer n >= 4, got n={n!r}")
+    if not _is_int(d) or not 2 <= d <= n - 1:
         raise ValidationError(f"dimension must satisfy 2 <= d <= n-1, got d={d} for n={n}")
     lam, value = _optimal_mean(n, d)
     lam.setflags(write=False)
     return SdpResult(value=value, spectrum=lam)
 
+
+# Sets per chunk of `haar_experiment`; it fixes the seed split and so the values
+_HAAR_CHUNK = 4096
 
 # Sets per block of a Haar chunk. A block's complex temporaries (states,
 # Gram stack, |G|^2) stay cache-sized; the values do not depend on it,
@@ -320,34 +322,31 @@ def haar_experiment(
     d: int,
     num_sets: int,
     seed: int = 0,
-    chunk_size: int = 4096,
 ) -> SamplingReport:
     """Evaluate the functional on ``num_sets`` Haar-random state tuples.
 
-    Work is split into chunks of ``chunk_size`` sets, each with its own
-    child stream spawned from the seed, so results are bit-identical no
+    Work is split into chunks of ``_HAAR_CHUNK`` (4096) sets, each with its
+    own child stream spawned from the seed, so results are bit-identical no
     matter how many worker threads run them (set ``OVERLAPKIT_THREADS`` to
-    parallelize); ``chunk_size`` therefore fixes the values. Each chunk
+    parallelize); the chunk size therefore fixes the values. Each chunk
     draws its real parts at once, then walks its sets in blocks of
     ``_HAAR_BLOCK``, drawing the imaginary parts block by block in the same
     stream order, and writes into one preallocated ``values`` array. The
     values are bitwise those of drawing the whole chunk with
     `haar_random_pure_batch` and evaluating it in one batch. Besides
     ``values``, a worker holds about one chunk of real parts
-    (``chunk_size * n * d`` floats) plus one block of complex temporaries.
+    (``_HAAR_CHUNK * n * d`` floats) plus one block of complex temporaries.
     ``violation_count`` counts values strictly above the classical bound.
     """
     if num_sets < 1:
         raise ValidationError("need at least one sample set")
     if d < 1:
         raise ValidationError("dimension must be at least 1")
-    if chunk_size < 1:
-        raise ValidationError("chunk_size must be at least 1")
     w = spec.weight_matrix()
-    starts = range(0, num_sets, chunk_size)
+    starts = range(0, num_sets, _HAAR_CHUNK)
     seeds = split_seeds(seed, len(starts))
     values = np.empty(num_sets)
-    jobs = [(values[start:start + chunk_size], ss) for start, ss in zip(starts, seeds)]
+    jobs = [(values[start:start + _HAAR_CHUNK], ss) for start, ss in zip(starts, seeds)]
     threads = _thread_count()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

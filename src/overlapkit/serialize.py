@@ -1,6 +1,7 @@
 """JSON and CSV round-tripping for the package's value types.
 
-Field names follow the schema files shipped under ``schemas/``. Complex
+Field names follow the schema files shipped under ``schemas/``; readers
+accept the field types they declare and nothing else. Complex
 numbers serialize as [re, im] pairs; matrices are row-major. All writers
 emit sorted keys so identical inputs produce byte-identical files.
 """
@@ -15,11 +16,11 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .inequalities import InequalitySpec, OverlapSet, WitnessVerdict, edge_order
+from .inequalities import InequalitySpec, OverlapSet, WitnessVerdict
 from .interrogation import HexagonFragment, RobustnessCurve
 from .mesh import CalibrationModel, CountRecord, MeshCell, MeshConfig
 from .optimize import MaximizationResult, SamplingReport, SdpResult, ThresholdCell
-from .states import DensityMatrix, PureState, ValidationError
+from .states import DensityMatrix, PureState, ValidationError, _is_int
 
 __all__ = [
     "dumps",
@@ -70,12 +71,28 @@ def _reading(kind: str) -> Iterator[None]:
         raise ValidationError(f"malformed {kind} record: {exc}") from exc
 
 
+def _integer(x) -> int:
+    """A schema integer: an int (not a bool), or a float with no fractional part."""
+    if _is_int(x) or (isinstance(x, float) and x.is_integer()):
+        return int(x)
+    raise TypeError(f"expected an integer, got {x!r}")
+
+
+def _number(x) -> float:
+    """A schema number: an int or a float, not a bool or a string."""
+    if _is_int(x) or isinstance(x, float):
+        return float(x)
+    raise TypeError(f"expected a number, got {x!r}")
+
+
 def _complex_pairs(v: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(v).ravel()]
 
 
 def _from_pairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
-    return np.array([complex(p[0], p[1]) for p in pairs], dtype=np.complex128)
+    if not all(len(p) == 2 for p in pairs):
+        raise ValueError("a complex number must be a pair [re, im]")
+    return np.array([complex(_number(re), _number(im)) for re, im in pairs], dtype=np.complex128)
 
 
 def pure_state_to_dict(s: PureState) -> dict:
@@ -85,7 +102,7 @@ def pure_state_to_dict(s: PureState) -> dict:
 def pure_state_from_dict(d: dict) -> PureState:
     with _reading("pure-state"):
         amps = _from_pairs(d["amplitudes"])
-        if int(d["dim"]) != amps.size:
+        if _integer(d["dim"]) != amps.size:
             raise ValidationError("dim does not match amplitude count")
         return PureState(amps)
 
@@ -96,7 +113,7 @@ def density_matrix_to_dict(m: DensityMatrix) -> dict:
 
 def density_matrix_from_dict(d: dict) -> DensityMatrix:
     with _reading("density-matrix"):
-        dim = int(d["dim"])
+        dim = _integer(d["dim"])
         flat = _from_pairs(d["entries"])
         if flat.size != dim * dim:
             raise ValidationError("entry count does not match dim^2")
@@ -109,7 +126,7 @@ def overlap_set_to_dict(o: OverlapSet) -> dict:
 
 def overlap_set_from_dict(d: dict) -> OverlapSet:
     with _reading("overlap-set"):
-        return OverlapSet.from_upper(int(d["n"]), [float(v) for v in d["upper"]])
+        return OverlapSet.from_upper(_integer(d["n"]), [_number(v) for v in d["upper"]])
 
 
 def inequality_to_dict(spec: InequalitySpec) -> dict:
@@ -123,10 +140,15 @@ def inequality_to_dict(spec: InequalitySpec) -> dict:
 
 def inequality_from_dict(d: dict) -> InequalitySpec:
     with _reading("inequality"):
-        weights = {(int(e["i"]), int(e["j"])): float(e["w"]) for e in d["weights"]}
-        return InequalitySpec(n=int(d["n"]), weights=weights,
-                              classical_bound=float(d["classical_bound"]),
-                              name=str(d.get("name", "")))
+        edges = [(_integer(e["i"]), _integer(e["j"])) for e in d["weights"]]
+        weights = dict(zip(edges, [_number(e["w"]) for e in d["weights"]]))
+        if len(weights) < len(edges):
+            raise ValueError("an edge is listed twice")
+        name = d.get("name", "")
+        if not isinstance(name, str):
+            raise TypeError(f"name must be a string, got {name!r}")
+        return InequalitySpec(n=_integer(d["n"]), weights=weights,
+                              classical_bound=_number(d["classical_bound"]), name=name)
 
 
 def state_set_from_dict(d: dict) -> list:
@@ -190,11 +212,11 @@ def mesh_config_to_dict(c: MeshConfig) -> dict:
 
 def mesh_config_from_dict(d: dict) -> MeshConfig:
     with _reading("mesh-config"):
-        cells = tuple(MeshCell(int(x["row"]), int(x["column"]),
-                               float(x["theta"]), float(x["phi"])) for x in d["cells"])
+        cells = tuple(MeshCell(_integer(x["row"]), _integer(x["column"]),
+                               _number(x["theta"]), _number(x["phi"])) for x in d["cells"])
         phases = d.get("output_phases")
-        return MeshConfig(modes=int(d["modes"]), cells=cells,
-                          output_phases=tuple(float(p) for p in phases) if phases is not None else None)
+        return MeshConfig(modes=_integer(d["modes"]), cells=cells,
+                          output_phases=tuple(_number(p) for p in phases) if phases is not None else None)
 
 
 def unitary_to_dict(u: np.ndarray) -> dict:
@@ -208,7 +230,7 @@ def unitary_from_dict(d: dict) -> np.ndarray:
     measured transfer matrix fed to `mesh.fidelity` need not be unitary).
     """
     with _reading("unitary"):
-        dim = int(d["dim"])
+        dim = _integer(d["dim"])
         flat = _from_pairs(d["entries"])
     if dim < 1 or flat.size != dim * dim:
         raise ValidationError(f"unitary record has {flat.size} entries, expected dim^2 with dim={dim}")
@@ -229,10 +251,10 @@ def calibration_to_dict(m: CalibrationModel) -> dict:
 def calibration_from_dict(d: dict) -> CalibrationModel:
     with _reading("calibration"):
         return CalibrationModel(
-            theta0=np.array(d["theta0"], dtype=float),
-            alpha=np.array(d["alpha"], dtype=float),
-            beta=np.array(d["beta"], dtype=float),
-            heater_columns=tuple(int(c) for c in d["heater_columns"]),
+            theta0=np.array([_number(v) for v in d["theta0"]]),
+            alpha=np.array([[_number(v) for v in row] for row in d["alpha"]]),
+            beta=np.array([_number(v) for v in d["beta"]]),
+            heater_columns=tuple(_integer(c) for c in d["heater_columns"]),
         )
 
 

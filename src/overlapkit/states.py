@@ -9,6 +9,7 @@ the stream convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -53,6 +54,21 @@ _OVERLAP_RANGE = 1e-12
 SeedLike = Union[int, np.random.Generator]
 
 
+def _is_int(x) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_finite_real(x) -> bool:
+    """True for a finite real number; False for NaN, inf, complex or text."""
+    if isinstance(x, (complex, np.complexfloating)):  # math.isfinite would drop the imaginary part
+        return False
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):  # not real, or an int past the float range
+        return False
+
+
 def make_rng(seed: SeedLike) -> np.random.Generator:
     """Return the package's reference generator (PCG64) for a 64-bit seed.
 
@@ -67,7 +83,7 @@ def make_rng(seed: SeedLike) -> np.random.Generator:
 
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
     """The root ``SeedSequence`` of a seed, which must be a non-negative integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.SeedSequence(int(seed))
 

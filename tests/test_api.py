@@ -13,21 +13,33 @@ import pytest
 
 import overlapkit
 from overlapkit import serialize as ser
-from overlapkit import states
-from overlapkit.inequalities import OverlapSet, WitnessVerdict, classify, make_h_mzi, make_hn
+from overlapkit import optimize, states
+from overlapkit.inequalities import InequalitySpec, OverlapSet, WitnessVerdict, classify, make_h_mzi, make_hn
 from overlapkit.interrogation import HexagonFragment, RobustnessCurve, crossover_nu, hexagon, robustness_curve
 from overlapkit.mesh import (
+    AngleNoise,
+    CalibrationModel,
     CountRecord,
     DispersionResult,
     FidelityStudy,
+    MeshConfig,
+    calibration_fit,
     dispersion,
     hyperspherical_angles,
     overlap_via_counts,
     pentagon_qubit_set,
     perturbed_mesh_fidelity_study,
 )
-from overlapkit.optimize import SamplingReport, ThresholdCell, dimension_thresholds, haar_experiment, thresholds_for
-from overlapkit.states import PureState, basis_state, max_eigenvalue, overlap, qubit_state
+from overlapkit.optimize import (
+    SamplingReport,
+    ThresholdCell,
+    dimension_thresholds,
+    haar_experiment,
+    maximize_pure,
+    sdp_upper_bound,
+    thresholds_for,
+)
+from overlapkit.states import PureState, ValidationError, basis_state, make_rng, max_eigenvalue, overlap, qubit_state
 
 LIBRARY = ["inequalities", "interrogation", "mesh", "optimize", "serialize", "states"]
 
@@ -64,7 +76,13 @@ class TestRemovedSettings:
         lambda: dimension_thresholds(3, agree_tol=1e-3),
         lambda: ser.sampling_to_dict(_report(), include_values=False),
         lambda: ser.overlap_matrix_csv(OverlapSet.from_upper(2, [0.5]), labels=["a", "b"]),
-    ], ids=["overlap-tol", "max_eigenvalue-tol", "agree_tol", "include_values", "labels"])
+        lambda: maximize_pure(make_hn(4), 2, restarts=2, max_iter=10),
+        lambda: maximize_pure(make_hn(4), 2, restarts=2, grad_tol=1e-9),
+        lambda: haar_experiment(make_hn(4), 2, 100, seed=0, chunk_size=4096),
+        lambda: AngleNoise(0.01, 0.01).perturb(np.zeros(3), np.random.default_rng(0), corners=True),
+        lambda: calibration_fit([(np.linspace(0.0, 0.55, 48), np.ones(48))], heater_columns=(0,)),
+    ], ids=["overlap-tol", "max_eigenvalue-tol", "agree_tol", "include_values", "labels",
+            "max_iter", "grad_tol", "chunk_size", "corners", "heater_columns"])
     def test_removed_keyword_is_a_type_error(self, call):
         with pytest.raises(TypeError):
             call()
@@ -92,6 +110,33 @@ class TestRemovedSettings:
         assert not hasattr(PureState, "same_ray")
 
 
+class TestConstructorsRejectWhatReadersReject:
+    """A fractional count or index, a non-finite magnitude or a bool seed
+    is a validation error, never truncated or let through."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: AngleNoise(relative=float("nan")),
+        lambda: AngleNoise(additive=float("inf")),
+        lambda: AngleNoise(relative="0.1"),
+        lambda: InequalitySpec(3.5, {(0, 1): 1.0}, 1.0),
+        lambda: InequalitySpec(3, {(0.5, 1): 1.0}, 1.0),
+        lambda: OverlapSet(3.0, np.eye(3)),
+        lambda: OverlapSet.from_upper(3.0, [0.5, 0.5, 0.5]),
+        lambda: MeshConfig(modes=2.5, cells=()),
+        lambda: CalibrationModel(theta0=[0.0], alpha=[[1.0]], beta=[0.0], heater_columns=(0.5,)),
+        lambda: sdp_upper_bound(5.5, 2),
+        lambda: sdp_upper_bound(5, 2.5),
+        lambda: overlap_via_counts(qubit_state(0.4), qubit_state(1.1), 10.5, 3),
+        lambda: make_rng(True),
+    ], ids=["noise-relative-nan", "noise-additive-inf", "noise-relative-text", "spec-n-fraction",
+            "spec-edge-fraction", "overlap-n-float", "from-upper-n-float", "mesh-modes-fraction",
+            "heater-column-fraction", "bound-n-fraction", "bound-d-fraction", "counts-trials-fraction",
+            "seed-bool"])
+    def test_rejected(self, call):
+        with pytest.raises(ValidationError):
+            call()
+
+
 class TestDerivedFields:
     @pytest.mark.parametrize("loss, dark", [(0.0, 0.0), (0.2, 0.01)])
     def test_count_record(self, loss, dark):
@@ -101,8 +146,9 @@ class TestDerivedFields:
         assert bits(rec.estimated_probability) == bits((port0 / n, port_rest / n))
         assert bits(rec.sigma_c) == bits((float(np.sqrt(port0)) / n, float(np.sqrt(port_rest)) / n))
 
-    def test_sampling_report(self):
-        rep = haar_experiment(make_hn(5), 3, 1000, seed=5, chunk_size=300)
+    def test_sampling_report(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_HAAR_CHUNK", 300)
+        rep = haar_experiment(make_hn(5), 3, 1000, seed=5)
         assert rep.num_sets == 1000 and type(rep.num_sets) is int
         assert bits(rep.max_value) == bits(float(rep.values.max()))
 

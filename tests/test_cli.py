@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from overlapkit import cli
+from overlapkit import cli, inequalities, mesh
 from overlapkit import serialize as ser
 from overlapkit.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_angle
 from overlapkit.inequalities import OverlapSet, make_h_mzi, make_hn
@@ -1003,6 +1003,21 @@ class TestSerializationRoundtrips:
     ])
     def test_unconvertible_values_rejected(self, reader, record):
         with pytest.raises(ValidationError, match="malformed"):
+            reader(record)
+
+    @pytest.mark.parametrize("reader, record", [
+        (ser.overlap_set_from_dict, {"n": 10**6, "upper": [0.5]}),
+        (ser.mesh_config_from_dict, {"modes": 10**6, "cells": []}),
+    ], ids=["overlap-set", "mesh-config"])
+    def test_wrong_count_is_rejected_before_any_layout(self, monkeypatch, reader, record):
+        # at 10**6 nodes or modes a layout would take minutes and gigabytes
+        def forbidden(*args):
+            raise AssertionError("built a layout before checking the count")
+
+        for module, name in [(inequalities, "edge_order"), (inequalities, "_upper_indices"),
+                             (mesh, "clements_layout")]:
+            monkeypatch.setattr(module, name, forbidden)
+        with pytest.raises(ValidationError):
             reader(record)
 
     @pytest.mark.parametrize("record", [

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from overlapkit.inequalities import evaluate_states, make_h_mzi, make_hn
 from overlapkit import mesh
 from overlapkit.mesh import (
-    AngleNoise,
     CalibrationCoverageError,
     CalibrationModel,
     MeshCell,
@@ -163,6 +162,11 @@ class TestLayout:
         cells = tuple(MeshCell(r, c, 0.1, 0.2) for r, c in clements_layout(3)[:-1])
         with pytest.raises(ValidationError):
             MeshConfig(modes=3, cells=cells)
+
+    def test_config_keeps_cells_given_as_a_generator(self):
+        # the tiling check must not consume the only pass over the cells
+        cells = [MeshCell(r, c, 0.1, 0.2) for r, c in clements_layout(4)]
+        assert MeshConfig(modes=4, cells=(c for c in cells)).cells == tuple(cells)
 
     def test_angles_reduced(self):
         cell = MeshCell(0, 0, 7.0, -1.0)
@@ -740,11 +744,18 @@ class TestDispersion:
 
     @staticmethod
     def per_draw_reference(spec, params, eps, delta, trials, seed, amplitudes):
-        """One `AngleNoise.perturb` call per state and stage, as the draws were first made."""
-        noise, rng = AngleNoise(relative=eps, additive=delta), make_rng(seed)
+        """Per trial, stage and state: u, then v, uniform in [-1, 1]; odd trials take their signs."""
+        rng = make_rng(seed)
+
+        def perturbed(p, corners):
+            u, v = rng.uniform(-1.0, 1.0, p.shape), rng.uniform(-1.0, 1.0, p.shape)
+            if corners:
+                u, v = np.sign(u), np.sign(v)
+            return p * (1.0 + eps * u) + delta * v
+
         values = []
         for t in range(trials):
-            stages = [[amplitudes(noise.perturb(p, rng, corners=t % 2 == 1)) for p in params] for _ in range(2)]
+            stages = [[amplitudes(perturbed(p, t % 2 == 1)) for p in params] for _ in range(2)]
             values.append(ordered_functional(spec.weights, *stages))
         ideal = [amplitudes(p) for p in params]
         return np.array(values), ordered_functional(spec.weights, ideal, ideal)

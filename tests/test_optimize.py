@@ -64,14 +64,9 @@ class TestMaximizePure:
         with pytest.raises(ValidationError):
             maximize_pure(make_hn(3), 2, restarts=0)
 
-    @pytest.mark.parametrize("kwargs", [{"max_iter": -1}, {"grad_tol": -1e-9}, {"grad_tol": float("nan")}],
-                             ids=["max_iter=-1", "grad_tol=-1e-9", "grad_tol=nan"])
-    def test_rejects_bad_iteration_settings(self, kwargs):
-        with pytest.raises(ValidationError, match=next(iter(kwargs))):
-            maximize_pure(make_hn(4), 2, restarts=2, **kwargs)
-
-    def test_diagnostics_when_max_iter_runs_out(self):
-        res = maximize_pure(make_hn(10), 8, restarts=20, seed=1010, max_iter=50)
+    def test_diagnostics_when_max_iter_runs_out(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_MAX_ITER", 50)
+        res = maximize_pure(make_hn(10), 8, restarts=20, seed=1010)
         assert res.hit_max_iter
         assert res.iterations == 50
         assert 0 <= res.restarts_converged < 20
@@ -116,7 +111,8 @@ class TestCertifiedStop:
 
 
 # (spec, d, restarts, seed, max_iter): the d = n-2 straggler cells, one
-# restart, d = 1, the pentagon functional, and a run cut by max_iter
+# restart, d = 1, the pentagon functional, and a run cut by a step budget
+# of 50 (`optimize._MAX_ITER` patched)
 FULL_BATCH_CASES = [
     *[(make_hn(n), n - 2, restarts, n * 100 + n - 2, 4000)
       for n in (6, 7, 8) for restarts in (16, 60)],
@@ -129,8 +125,9 @@ FULL_BATCH_CASES = [
 
 @pytest.mark.parametrize("spec,d,restarts,seed,max_iter", FULL_BATCH_CASES,
                          ids=[f"{c[0].name}-d{c[1]}-r{c[2]}-it{c[4]}" for c in FULL_BATCH_CASES])
-def test_ascent_is_bitwise_the_full_batch_loop(spec, d, restarts, seed, max_iter):
-    res = maximize_pure(spec, d, restarts=restarts, seed=seed, max_iter=max_iter)
+def test_ascent_is_bitwise_the_full_batch_loop(spec, d, restarts, seed, max_iter, monkeypatch):
+    monkeypatch.setattr(optimize, "_MAX_ITER", max_iter)
+    res = maximize_pure(spec, d, restarts=restarts, seed=seed)
     start = haar_random_pure_batch(restarts, spec.n, d, make_rng(seed))
     rows, converged, steps, stationary, ran_out = full_batch_ascent(spec.weight_matrix(), start, max_iter)
     states = [PureState(row) for row in rows]
@@ -316,16 +313,17 @@ class TestHaarExperiment:
         assert rep.violation_count == int(np.sum(rep.values > 1.0))
         assert rep.num_sets == rep.values.size == 5000
 
-    def test_deterministic_and_first_chunk_independent_of_num_sets(self):
+    def test_deterministic_and_first_chunk_independent_of_num_sets(self, monkeypatch):
         a = haar_experiment(make_hn(4), 3, 5000, seed=9)
         b = haar_experiment(make_hn(4), 3, 5000, seed=9)
         assert np.array_equal(a.values, b.values)
         assert ser.dumps(ser.sampling_to_dict(a)) == ser.dumps(ser.sampling_to_dict(b))
-        # chunk_size fixes the seed split, so values depend on it; a chunk's
-        # stream does not depend on how many chunks follow it
+        # the chunk size fixes the seed split, so values depend on it; a
+        # chunk's stream does not depend on how many chunks follow it
         for c in (1000, 4096):
-            one = haar_experiment(make_hn(4), 3, c, seed=9, chunk_size=c)
-            three = haar_experiment(make_hn(4), 3, 3 * c, seed=9, chunk_size=c)
+            monkeypatch.setattr(optimize, "_HAAR_CHUNK", c)
+            one = haar_experiment(make_hn(4), 3, c, seed=9)
+            three = haar_experiment(make_hn(4), 3, 3 * c, seed=9)
             assert three.values[:c].tobytes() == one.values.tobytes()
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
@@ -341,9 +339,10 @@ class TestHaarExperiment:
                 for chunk_size in (4096, 1000):
                     seed = 10 * n + d
                     expected = haar_values_full_chunk(spec, d, num_sets, seed, chunk_size).tobytes()
+                    monkeypatch.setattr(optimize, "_HAAR_CHUNK", chunk_size)
                     for threads in ("1", "2"):
                         monkeypatch.setenv("OVERLAPKIT_THREADS", threads)
-                        got = haar_experiment(spec, d, num_sets, seed=seed, chunk_size=chunk_size).values
+                        got = haar_experiment(spec, d, num_sets, seed=seed).values
                         assert got.tobytes() == expected, (d, num_sets, chunk_size, threads)
 
     @pytest.mark.parametrize("n,d,num_sets,limit_mib", [(6, 4, 20_000, 2.0), (10, 9, 4096, 6.0)])
@@ -359,11 +358,6 @@ class TestHaarExperiment:
         finally:
             tracemalloc.stop()
         assert peak < limit_mib * 2**20
-
-    @pytest.mark.parametrize("chunk_size", [0, -5])
-    def test_rejects_chunk_size_below_one(self, chunk_size):
-        with pytest.raises(ValidationError, match="chunk_size"):
-            haar_experiment(make_hn(4), 2, 100, seed=0, chunk_size=chunk_size)
 
     def test_threads_do_not_change_results(self, monkeypatch):
         a = haar_experiment(make_hn(4), 3, 9000, seed=4)

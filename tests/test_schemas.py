@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from overlapkit import serialize as ser
-from overlapkit.cli import EXIT_OK, main
+from overlapkit.cli import EXIT_OK, EXIT_VALIDATION, main
+from overlapkit.inequalities import OverlapSet, make_h_mzi
 from overlapkit.mesh import decompose, haar_random_unitary, pentagon_qubit_set
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -154,3 +155,83 @@ COUNT_RECORD = {"counts": [3, 1], "total_trials": 4, "estimated_probability": [0
 def test_closed_schemas_reject_stray_records(schema, record):
     schema_obj = json.loads((SCHEMAS / f"{schema}.json").read_text())
     assert list(jsonschema.Draft7Validator(schema_obj).iter_errors(record))
+
+
+def _hmzi(**changes):
+    record = ser.inequality_to_dict(make_h_mzi())
+    record.update(changes)
+    return record
+
+
+def _hmzi_weight(**changes):
+    record = ser.inequality_to_dict(make_h_mzi())
+    record["weights"][0].update(changes)
+    return record
+
+
+def _pentagon_states(**changes):
+    record = {"kind": "pure", "states": [ser.pure_state_to_dict(s) for s in pentagon_qubit_set()]}
+    record["states"][0].update(changes)
+    return record
+
+
+def _two_mode_config(**changes):
+    record = {"modes": 2, "cells": [{"row": 0, "column": 0, "theta": 0.3, "phi": 0.2}]}
+    record.update(changes)
+    return record
+
+
+EVALUATE = ["evaluate", "--input", "pentagon.json", "--inequality", "in.json"]
+EVALUATE_INPUT = ["evaluate", "--input", "in.json", "--inequality", "hmzi"]
+PAIR_OF_THREE = _pentagon_states()
+PAIR_OF_THREE["states"][0]["amplitudes"][0].append(5.0)
+
+# (input record, argv, schema of the record or of its first state; None
+# when no schema can say it): each input was read by truncation or
+# coercion, and the command exited 0
+MALFORMED_INPUTS = [
+    pytest.param(_hmzi_weight(i=0.5), EVALUATE, "inequality_spec", id="edge-i-fraction"),
+    pytest.param(_hmzi(n=5.7), EVALUATE, "inequality_spec", id="spec-n-fraction"),
+    pytest.param(_hmzi(name=[1]), EVALUATE, "inequality_spec", id="name-not-string"),
+    pytest.param(_hmzi_weight(w="1"), EVALUATE, "inequality_spec", id="weight-string"),
+    pytest.param(_hmzi(weights=_hmzi()["weights"] + [{"i": 0, "j": 1, "w": -0.1}]), EVALUATE, None,
+                 id="duplicate-edge"),
+    pytest.param({"n": 3.9, "upper": [0.5, 0.5, 0.5]}, ["evaluate", "--input", "in.json", "--inequality", "h3"],
+                 "overlap_set", id="overlap-n-fraction"),
+    pytest.param(_pentagon_states(dim=2.5), EVALUATE_INPUT, "pure_state", id="state-dim-fraction"),
+    pytest.param(PAIR_OF_THREE, EVALUATE_INPUT, "pure_state", id="pair-of-three"),
+    pytest.param(_pentagon_states(dim=2.5), ["mesh", "counts", "--states", "in.json", "--trials", "10"],
+                 "pure_state", id="counts-state-dim-fraction"),
+    pytest.param(_two_mode_config(cells=[{"row": 0.5, "column": 0, "theta": 0.3, "phi": 0.2}]),
+                 ["mesh", "simulate", "--config", "in.json"], "mesh_config", id="cell-row-fraction"),
+    pytest.param(_two_mode_config(modes=2.5), ["mesh", "simulate", "--config", "in.json"], "mesh_config",
+                 id="modes-fraction"),
+    pytest.param(_two_mode_config(output_phases=["0.1", "0.2"]), ["mesh", "simulate", "--config", "in.json"],
+                 "mesh_config", id="output-phase-string"),
+    pytest.param({"dim": 2.5, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+                 ["mesh", "decompose", "--unitary", "in.json"], "unitary", id="unitary-dim-fraction"),
+]
+
+
+@pytest.mark.parametrize("record, argv, schema", MALFORMED_INPUTS)
+def test_readers_reject_what_the_schemas_reject(tmp_path, monkeypatch, capsys, record, argv, schema):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pentagon.json").write_text(
+        ser.dumps(ser.overlap_set_to_dict(OverlapSet.from_states(pentagon_qubit_set()))))
+    (tmp_path / "in.json").write_text(json.dumps(record))
+    assert main(argv + ["--out-dir", "out"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+    if schema is not None:
+        checked = record["states"][0] if "states" in record else record
+        schema_obj = json.loads((SCHEMAS / f"{schema}.json").read_text())
+        assert list(jsonschema.Draft7Validator(schema_obj).iter_errors(checked))
+
+
+def test_an_integral_float_is_an_integer(tmp_path):
+    record = ser.overlap_set_to_dict(OverlapSet.from_states(pentagon_qubit_set()))
+    record["n"] = 5.0
+    assert_matches(record, "overlap_set")
+    (tmp_path / "in.json").write_text(json.dumps(record))
+    argv = ["evaluate", "--input", str(tmp_path / "in.json"), "--inequality", "hmzi", "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
